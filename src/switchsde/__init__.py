@@ -23,10 +23,9 @@ from .models import (HARNACK_PREREQUISITES, AssumptionReport, ModelSpec,
                      check_assumptions, linear_switching_model,
                      reciprocal_mass, zoo)
 from .noise import LANE_EULER, LANE_JUMP, NoiseStream
-from .qmatrix import (DominatingChainSpec, IntervalEntry, IntervalPartition,
-                      QMatrixSpec, build_partition, displacement,
+from .qmatrix import (DominatingChainSpec, QMatrixSpec, RowLayout,
                       displacement_lp_bound, displacement_lp_distance,
-                      dominating_chain_generator, random_banded_q,
+                      dominating_chain_generator, random_banded_q, row_layout,
                       smooth_cutoff, truncate_q)
 from .trajectory import JumpRecord, Trajectory, from_binary
 

@@ -27,6 +27,7 @@ paths that branch differently stay aligned on the shared Brownian noise.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -39,7 +40,8 @@ from .errors import (NumericalBlowupError, StiffSwitchingWarning,
 from .models import ModelSpec, apply_diffusion, _sigma_stack
 from .noise import (LANE_EULER, LANE_JUMP, NoiseStream, keyed_exponential,
                     keyed_normal, keyed_uniform)
-from .qmatrix import QMatrixSpec, as_point, smooth_cutoff, truncate_q
+from .qmatrix import (QMatrixSpec, as_point, row_layout, smooth_cutoff,
+                      truncate_q)
 from .trajectory import JumpRecord, Trajectory
 
 DEFAULT_SEED = 123456789
@@ -62,10 +64,11 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.horizon) and self.horizon >= 0):
+            raise ValueError(f"horizon must be nonnegative and finite, "
+                             f"got {self.horizon}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; have {SCHEMES}")
         if self.replicas < 1 or self.threads < 1:
@@ -91,59 +94,30 @@ def step_euler(model: ModelSpec, t: float, x, i: int, dt: float, dw) -> np.ndarr
 
 # --- state-independent chain machinery ---------------------------------------
 
-class _ChainTable:
-    """Caches per-regime exit rates and destination distributions at x = 0
+def _zero_layouts(q: QMatrixSpec, dim: int):
+    """Regime -> row layout at x = 0, built once per regime on first use
     (valid because the rates are state-independent)."""
-
-    def __init__(self, q: QMatrixSpec, dim: int):
-        self.q = q
-        self._zero = np.zeros(dim)
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
-        self._prefix: dict[int, float] = {1: 0.0}
-
-    def dist(self, k: int):
-        ent = self._cache.get(k)
-        if ent is None:
-            js, rates = self.q.row(self._zero, k)
-            tot = float(rates.sum())
-            cum = np.cumsum(rates) / tot if tot > 0 else rates
-            ent = (np.asarray(js, dtype=np.int64), cum, tot)
-            self._cache[k] = ent
-        return ent
-
-    def total(self, k: int) -> float:
-        return self.dist(k)[2]
-
-    def block_prefix(self, k: int) -> float:
-        """Absolute left endpoint of row k's block in the interval layout."""
-        if k not in self._prefix:
-            hi = max(self._prefix)
-            acc = self._prefix[hi]
-            for j in range(hi, k):
-                acc += self.total(j)
-                self._prefix[j + 1] = acc
-        return self._prefix[k]
+    zero = np.zeros(dim)
+    return functools.cache(lambda k: row_layout(q, zero, k))
 
 
-def _sample_destinations(table: _ChainTable, lam, jumpers, U):
-    new_lam = lam.copy()
-    for k in np.unique(lam[jumpers]):
-        sel = jumpers & (lam == k)
-        dests, cum, tot = table.dist(int(k))
-        if tot <= 0:
-            continue
-        idx = np.searchsorted(cum, U[sel], side="right")
-        new_lam[sel] = dests[np.minimum(idx, len(dests) - 1)]
-    return new_lam
+def _destinations(layout, lam, U):
+    """Regimes after a switch out of ``lam`` with uniforms ``U``."""
+    out = lam.copy()
+    for k in np.unique(lam):
+        grp = lam == k
+        out[grp] = layout(int(k)).destination(U[grp])
+    return out
 
 
-def _holding_times(table: _ChainTable, lam, sel, E):
-    """E / q_k per selected replica; inf where the row sum vanishes."""
+def _holding_times(layout, lam, E):
+    """E / q_k per replica in regime ``lam``; inf where the row sum vanishes."""
     out = np.full(lam.shape, np.inf)
-    for k in np.unique(lam[sel]):
-        grp = sel & (lam == k)
-        tot = table.total(int(k))
-        out[grp] = E[grp] / tot if tot > 0 else np.inf
+    for k in np.unique(lam):
+        grp = lam == k
+        tot = layout(int(k)).total
+        if tot > 0:
+            out[grp] = E[grp] / tot
     return out
 
 
@@ -159,7 +133,7 @@ def run_chain(q: QMatrixSpec, i0: int, T: float, stream: NoiseStream,
         raise UnsupportedSchemeError("chain-only simulation needs "
                                      "state-independent rates")
     n = len(replicas)
-    table = _ChainTable(q, 1)
+    layout = _zero_layouts(q, 1)
     lam = np.full(n, int(i0), dtype=np.int64)
     cur = np.zeros(n)
     jump_ctr = np.zeros(n, dtype=np.uint64)
@@ -171,7 +145,7 @@ def run_chain(q: QMatrixSpec, i0: int, T: float, stream: NoiseStream,
 
     E = stream.exponential(replicas, LANE_JUMP, jump_ctr)
     jump_ctr += np.uint64(1)
-    nxt = cur + _holding_times(table, lam, np.ones(n, dtype=bool), E)
+    nxt = cur + _holding_times(layout, lam, E)
 
     while True:
         jumpers = nxt <= T
@@ -183,15 +157,14 @@ def run_chain(q: QMatrixSpec, i0: int, T: float, stream: NoiseStream,
             break
         U = stream.uniform(replicas, LANE_JUMP, jump_ctr)
         jump_ctr += jumpers
-        new_lam = _sample_destinations(table, lam, jumpers, U)
         eta = np.where(jumpers & np.isinf(eta), nxt, eta)
-        lam = np.where(jumpers, new_lam, lam)
+        lam[jumpers] = _destinations(layout, lam[jumpers], U[jumpers])
         lam_max = np.maximum(lam_max, lam)
         cur = np.where(jumpers, nxt, cur)
         E = stream.exponential(replicas, LANE_JUMP, jump_ctr)
         jump_ctr += jumpers
-        hold = _holding_times(table, lam, jumpers, E)
-        nxt = np.where(jumpers, cur + hold, nxt)
+        nxt[jumpers] = cur[jumpers] + _holding_times(layout, lam[jumpers],
+                                                    E[jumpers])
 
     for mi in range(len(marks)):
         lam_at[mi][unfilled[mi]] = lam[unfilled[mi]]
@@ -227,7 +200,7 @@ def run_event_driven(model: ModelSpec, x0, i0: int, T: float, dt: float,
     if record and n != 1:
         raise ValueError("recording needs a single replica")
 
-    table = _ChainTable(q, d)
+    layout = _zero_layouts(q, d)
     keys = stream.replica_keys(replicas)
     lincoef = model.linear_coeffs
     lam = np.full(n, int(i0), dtype=np.int64)
@@ -246,7 +219,7 @@ def run_event_driven(model: ModelSpec, x0, i0: int, T: float, dt: float,
 
     E = keyed_exponential(keys, LANE_JUMP, jump_ctr)
     jump_ctr += np.uint64(1)
-    next_jump = _holding_times(table, lam, np.ones(n, dtype=bool), E)
+    next_jump = _holding_times(layout, lam, E)
 
     comps = np.arange(d, dtype=np.uint64)
     ud = np.uint64(d)
@@ -346,21 +319,14 @@ def run_event_driven(model: ModelSpec, x0, i0: int, T: float, dt: float,
             if jidx.size:
                 U = keyed_uniform(keys[jidx], LANE_JUMP, jump_ctr[jidx])
                 jump_ctr[jidx] += np.uint64(1)
-                lam_j = lam[jidx]
-                new_j = lam_j.copy()
-                for k in np.unique(lam_j):
-                    grp = lam_j == k
-                    dests, cum, tot = table.dist(int(k))
-                    if tot > 0:
-                        pos = np.searchsorted(cum, U[grp], side="right")
-                        new_j[grp] = dests[np.minimum(pos, len(dests) - 1)]
+                new_j = _destinations(layout, lam[jidx], U)
                 eta_j = eta[jidx]
                 fresh = np.isinf(eta_j)
                 eta_j[fresh] = seg[jidx][fresh]
                 eta[jidx] = eta_j
                 if record and jidx[0] == 0:
                     src, dst = int(lam[0]), int(new_j[0])
-                    mark = table.block_prefix(src) + float(U[0]) * table.total(src)
+                    mark = layout(src).mark(float(U[0]))
                     jumps.append(JumpRecord(float(seg[0]), src, dst, mark))
                     log.append((float(seg[0]), X[0].copy(), dst, True))
                 lam[jidx] = new_j
@@ -371,13 +337,7 @@ def run_event_driven(model: ModelSpec, x0, i0: int, T: float, dt: float,
                     _observe(jidx, seg[jidx])
                 E = keyed_exponential(keys[jidx], LANE_JUMP, jump_ctr[jidx])
                 jump_ctr[jidx] += np.uint64(1)
-                hold = np.full(jidx.size, np.inf)
-                for k in np.unique(new_j):
-                    grp = new_j == k
-                    tot = table.total(int(k))
-                    if tot > 0:
-                        hold[grp] = E[grp] / tot
-                next_jump[jidx] = seg[jidx] + hold
+                next_jump[jidx] = seg[jidx] + _holding_times(layout, new_j, E)
             else:
                 # every replica reached t1 without a pending switch
                 break
@@ -420,32 +380,6 @@ def simulate_state_independent(model: ModelSpec, x0, i0: int, cfg: SimConfig, *,
         bad = out["x"][0]
         raise NumericalBlowupError(cfg.horizon, bad, int(out["regime"][0]))
     return _as_trajectory(out, cfg)
-
-
-def _draw_destination(q: QMatrixSpec, x, i: int, u: float):
-    """Destination and absolute mark for a switch out of ``i`` at ``x``.
-
-    The mark falls uniformly on row i's block; the destination is the entry
-    the mark lands in (no entry => the switch is a no-op, matching the
-    zero branch of the jump kernel).
-    """
-    prefix = 0.0
-    for k in range(1, i):
-        prefix += q.total_rate(x, k)
-    js, rates = q.row(x, i)
-    total = 0.0
-    for r in rates:
-        total += r
-    z = prefix + u * total
-    if total <= 0.0:
-        return i, z
-    target = u * total
-    acc = 0.0
-    for j, r in zip(js, rates):
-        acc += r
-        if target < acc:
-            return j, z
-    return js[-1], z
 
 
 def simulate_path(model: ModelSpec, x0, i0: int, cfg: SimConfig, *,
@@ -510,9 +444,10 @@ def simulate_path(model: ModelSpec, x0, i0: int, cfg: SimConfig, *,
             if not np.all(np.isfinite(x)):
                 raise NumericalBlowupError(s, x, i)
             u = float(stream.uniform(replica, LANE_JUMP, 2 * sidx + 1))
-            j, z = _draw_destination(model.q, x, i, u)
+            lay = row_layout(model.q, x, i)
+            j = int(lay.destination(u))
             if j != i:
-                jumps.append(JumpRecord(s, i, j, z))
+                jumps.append(JumpRecord(s, i, j, lay.mark(u)))
                 if math.isinf(eta):
                     eta = s
             _push(s, x, j)

@@ -28,12 +28,12 @@ from .engine import (EVENT_DRIVEN, FROZEN_RATE, DEFAULT_SEED, SimConfig,
                      run_chain, run_event_driven, simulate_path,
                      simulate_truncated)
 from .errors import InvalidModelError, NumericalBlowupError, UnsupportedSchemeError
-from .markov import transition_matrix
+from .markov import holding_probability, transition_matrix
 from .models import (HARNACK_PREREQUISITES, ModelSpec, SamplingPlan,
                      check_assumptions)
 from .noise import NoiseStream
-from .qmatrix import (as_point, displacement_lp_bound, displacement_lp_distance,
-                      random_banded_q)
+from .qmatrix import (DominatingChainSpec, as_point, displacement_lp_bound,
+                      displacement_lp_distance, random_banded_q)
 
 BATCH_REPLICAS = 16384
 _SALT_FIRST_JUMP = 0x464A
@@ -111,20 +111,21 @@ def _spans(n: int):
     return [(lo, min(lo + BATCH_REPLICAS, n)) for lo in range(0, n, BATCH_REPLICAS)]
 
 
-def _run_batches(n: int, threads: int, kernel) -> dict:
-    """Run ``kernel(lo, hi) -> dict[str, array]`` over fixed replica spans and
-    concatenate outputs in span order (independent of completion order)."""
-    spans = _spans(n)
-    results: list = [None] * len(spans)
-    if threads > 1 and len(spans) > 1:
+def _ordered_map(fn, items, threads: int) -> list:
+    """``[fn(item) for item in items]`` on up to ``threads`` worker threads;
+    results come back in item order whatever order the calls finish in."""
+    if threads > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            futs = {ex.submit(kernel, lo, hi): k for k, (lo, hi) in enumerate(spans)}
-            for fut in futs:
-                results[futs[fut]] = fut.result()
-    else:
-        for k, (lo, hi) in enumerate(spans):
-            results[k] = kernel(lo, hi)
-    return {key: np.concatenate([r[key] for r in results]) for key in results[0]}
+            return list(ex.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def _run_batches(n: int, threads: int, kernel, axis: int = 0) -> dict:
+    """Run ``kernel(lo, hi) -> dict[str, array]`` over fixed replica spans and
+    concatenate outputs along ``axis`` in span order."""
+    results = _ordered_map(lambda span: kernel(*span), _spans(n), threads)
+    return {key: np.concatenate([r[key] for r in results], axis=axis)
+            for key in results[0]}
 
 
 def _stacked_event_run(model, starts, i0, T, n, cfg, threads, *, salt=0,
@@ -151,18 +152,7 @@ def _stacked_event_run(model, starts, i0, T, n, cfg, threads, *, salt=0,
             res[key] = val.reshape(nb, m, *val.shape[1:])
         return res
 
-    spans = _spans(n)
-    results: list = [None] * len(spans)
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futs = {ex.submit(kernel, lo, hi): k for k, (lo, hi) in enumerate(spans)}
-            for fut in futs:
-                results[futs[fut]] = fut.result()
-    else:
-        for k, (lo, hi) in enumerate(spans):
-            results[k] = kernel(lo, hi)
-    return {key: np.concatenate([r[key] for r in results], axis=1)
-            for key in results[0]}
+    return _run_batches(n, threads, kernel, axis=1)
 
 
 def _frozen_final_states(model, x, i, T, n, cfg, threads, salt=0):
@@ -326,8 +316,8 @@ def holding_probability_floor(model: ModelSpec, k: int, K: int, t: float) -> flo
     chain's survival probability, a floor for P(no switch by t) whenever
     ``k <= K``."""
     q = model.q
-    rate = (min(q.kappa, k - 1) + q.kappa) * q.linear_bound_alpha * K
-    return math.exp(-rate * t)
+    return holding_probability(DominatingChainSpec(K, q.linear_bound_alpha,
+                                                   q.kappa), k, t)
 
 
 def holding_time_check(model: ModelSpec, x, k: int, K: int,
@@ -473,16 +463,7 @@ def harnack_sweep(model: ModelSpec, n_cases: int, n: int, cfg: SimConfig,
 
     # cases are the parallel unit: each runs on its own derived seed, so the
     # result set is identical under any thread count or completion order
-    reports: list = [None] * n_cases
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futs = {ex.submit(one, c): c[0] for c in cases}
-            for fut in futs:
-                reports[futs[fut]] = fut.result()
-    else:
-        for c in cases:
-            reports[c[0]] = one(c)
-    return reports
+    return _ordered_map(one, cases, threads)
 
 
 def harnack_sweep_summary(reports: Sequence[BoundReport],

@@ -1,4 +1,4 @@
-"""State-dependent rate matrices and their interval-partition representation.
+"""State-dependent rate matrices and their interval layout.
 
 A switching process with rates ``q_ij(x)`` can be driven by a Poisson random
 measure once the rates are laid out as disjoint half-open intervals on the
@@ -9,17 +9,20 @@ on; the block for row ``i`` starts at ``sum_{k<i} q_k(x)`` and the entry for
 ``(i, j)`` interval moves the regime by ``j - i``; anywhere else it does
 nothing.
 
+``row_layout`` builds one row's block (``RowLayout``) and is the only coding
+of this layout: both simulation schemes draw destinations and marks from it,
+and the exact L^p distance between jump kernels sweeps its endpoints.
+
 The whole module assumes a band structure: jumps move the regime by at most
 ``kappa``, so every row has finitely many nonzero entries and the (possibly
-countably infinite) regime space is never enumerated. Partitions are built
-per point ``x`` for an explicit window of rows; nothing is cached globally.
+countably infinite) regime space is never enumerated. Layouts are built per
+point ``x`` and row; nothing is cached globally.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -102,106 +105,72 @@ class QMatrixSpec:
 
 
 @dataclass(frozen=True)
-class IntervalEntry:
+class RowLayout:
+    """Row ``i``'s block of the interval layout at one point ``x``.
+
+    ``dests`` are the band's destinations in ascending order and ``rates``
+    their rates. ``right`` holds the cumulative right endpoints relative to
+    the block start (running sums of ``rates``, so a zero rate gives an empty
+    interval); ``edges`` holds the absolute endpoints ``start, start + r_1,
+    (start + r_1) + r_2, ...`` accumulated from the block start. The block
+    covers ``[start, start + total)`` with ``total = q_i(x)`` summed in the
+    same order as ``QMatrixSpec.total_rate``.
+    """
+
     i: int
-    j: int
-    left: float
-    right: float
+    dests: np.ndarray
+    rates: np.ndarray
+    right: np.ndarray
+    edges: np.ndarray
+    start: float
+    total: float
 
-    @property
-    def length(self) -> float:
-        return self.right - self.left
+    def destination(self, u):
+        """Destinations for uniforms ``u`` in [0, 1).
+
+        The relative mark ``u * total`` picks the first entry whose right
+        endpoint exceeds it; an empty row leaves the regime at ``i``.
+        """
+        u = np.asarray(u, dtype=float)
+        if self.total <= 0.0:
+            return np.full(u.shape, self.i, dtype=np.int64)
+        k = np.searchsorted(self.right, u * self.total, side="right")
+        return self.dests[np.minimum(k, len(self.dests) - 1)]
+
+    def mark(self, u):
+        """Absolute mark of uniform ``u``: a uniform point of the block."""
+        return self.start + u * self.total
+
+    def displacement(self, z):
+        """``j - i`` where the absolute mark ``z`` lands in the ``(i, j)``
+        interval, 0 elsewhere (other rows' blocks, or outside the layout)."""
+        # k = -1 (left of the block) and k = len(dests) (right of it) both
+        # index the trailing 0
+        moves = np.append(self.dests - self.i, 0)
+        return moves[np.searchsorted(self.edges, z, side="right") - 1]
+
+    def endpoints(self) -> np.ndarray:
+        """Absolute endpoints of the nonempty-rate intervals, ascending."""
+        pos = self.rates > 0.0
+        return np.union1d(self.edges[:-1][pos], self.edges[1:][pos])
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
-    """The interval layout of rows ``1..m`` of a rate matrix at a fixed x.
-
-    ``entries`` are ordered by left endpoint and omit empty intervals.
-    ``row_lookup`` maps a row index to parallel (lefts, rights, destinations)
-    arrays for binary search.
-    """
-
-    x: Point
-    m: int
-    entries: tuple[IntervalEntry, ...]
-    row_lookup: dict = field(repr=False)
-    total_length: float = 0.0
-
-    def row_entries(self, i: int) -> list[IntervalEntry]:
-        return [e for e in self.entries if e.i == i]
-
-
-def build_partition(q: QMatrixSpec, x, regimes: int) -> IntervalPartition:
-    """Lay out rows ``1..regimes`` of ``q`` at ``x`` as consecutive intervals.
-
-    Prefix sums accumulate in row-major, ascending-destination order, so the
-    final right endpoint equals ``sum_i q_i(x)`` computed the same way.
-    """
-    if regimes < 1:
-        raise ValueError("regimes must be >= 1")
+def row_layout(q: QMatrixSpec, x, i: int) -> RowLayout:
+    """Lay out row ``i`` of ``q`` at ``x``; the block start sums the rows
+    below it one by one in ascending order."""
     xp = as_point(x)
-    entries: list[IntervalEntry] = []
-    row_lookup: dict[int, tuple[list[float], list[float], list[int]]] = {}
-    offset = 0.0
-    for i in range(1, regimes + 1):
-        js, rates = q.row(xp, i)
-        lefts: list[float] = []
-        rights: list[float] = []
-        dests: list[int] = []
-        for j, r in zip(js, rates):
-            if r > 0.0:
-                entries.append(IntervalEntry(i, j, offset, offset + r))
-                lefts.append(offset)
-                rights.append(offset + r)
-                dests.append(j)
-            offset += r
-        if lefts:
-            row_lookup[i] = (lefts, rights, dests)
-    return IntervalPartition(x=xp, m=regimes, entries=tuple(entries),
-                             row_lookup=row_lookup, total_length=offset)
-
-
-def displacement(part: IntervalPartition, i: int, z: float) -> int:
-    """Regime displacement triggered by mark ``z`` while in regime ``i``.
-
-    Returns ``j - i`` when ``z`` falls in row ``i``'s interval for ``j``,
-    else 0 (marks in other rows' intervals, or outside the partition, are
-    no-ops for regime ``i``). O(log #entries) via binary search.
-    """
-    row = part.row_lookup.get(i)
-    if row is None:
-        return 0
-    lefts, rights, dests = row
-    k = bisect_right(lefts, z) - 1
-    if k >= 0 and z < rights[k]:
-        return dests[k] - i
-    return 0
-
-
-def _row_intervals_absolute(q: QMatrixSpec, x: Point, i: int):
-    """Row i's nonempty intervals with absolute endpoints, plus block bounds."""
-    offset = 0.0
+    start = 0.0
     for k in range(1, i):
-        t = q.total_rate(x, k)
+        t = q.total_rate(xp, k)
         if not math.isfinite(t):
-            raise InvalidModelError(f"unbounded row sum at (x={x}, i={k})")
-        offset += t
-    js, rates = q.row(x, i)
-    out = []
-    left = offset
-    for j, r in zip(js, rates):
-        if r > 0.0:
-            out.append((j, left, left + r))
-        left += r
-    return out, offset, left
-
-
-def _lookup_displacement(intervals, i: int, z: float) -> int:
-    for j, lo, hi in intervals:
-        if lo <= z < hi:
-            return j - i
-    return 0
+            raise InvalidModelError(f"unbounded row sum at (x={xp}, i={k})")
+        start += t
+    js, rates = q.row(xp, i)
+    right = np.cumsum(rates)
+    edges = np.cumsum(np.concatenate(([start], rates)))
+    total = float(right[-1]) if len(right) else 0.0
+    return RowLayout(i=i, dests=np.asarray(js, dtype=np.int64), rates=rates,
+                     right=right, edges=edges, start=float(start), total=total)
 
 
 def displacement_lp_distance(q: QMatrixSpec, x, y, i: int, p: float) -> float:
@@ -215,20 +184,15 @@ def displacement_lp_distance(q: QMatrixSpec, x, y, i: int, p: float) -> float:
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    xp, yp = as_point(x), as_point(y)
-    ix, *_ = _row_intervals_absolute(q, xp, i)
-    iy, *_ = _row_intervals_absolute(q, yp, i)
-    pts = sorted({v for _, lo, hi in ix for v in (lo, hi)}
-                 | {v for _, lo, hi in iy for v in (lo, hi)})
+    lx, ly = row_layout(q, x, i), row_layout(q, y, i)
+    pts = np.union1d(lx.endpoints(), ly.endpoints())
+    a, b = pts[:-1], pts[1:]
+    mid = 0.5 * (a + b)
     total = 0.0
-    for a, b in zip(pts, pts[1:]):
-        if b <= a:
-            continue
-        mid = 0.5 * (a + b)
-        dx = _lookup_displacement(ix, i, mid)
-        dy = _lookup_displacement(iy, i, mid)
+    for w, dx, dy in zip((b - a).tolist(), lx.displacement(mid).tolist(),
+                         ly.displacement(mid).tolist()):
         if dx != dy:
-            total += abs(dx - dy) ** p * (b - a)
+            total += abs(dx - dy) ** p * w
     return total
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -179,6 +180,15 @@ def test_config_error_exit_code(tmp_path):
     assert run("simulate", path) == 2
     bad = with_task(BASE, "simulate", {"nope": 1})
     assert run("simulate", write_config(tmp_path, bad, "bad.json")) == 2
+
+
+def test_nonfinite_sim_values_exit_code(tmp_path, capsys):
+    # json writes these as the bare tokens NaN / Infinity, which it also reads
+    for key, value in (("dt", math.nan), ("T", math.inf)):
+        cfg = with_task(BASE, "simulate", {"x0": [0.0]})
+        cfg["sim"][key] = value
+        assert run("simulate", write_config(tmp_path, cfg, f"{key}.json")) == 2
+        assert "config error" in capsys.readouterr().err
 
 
 def test_assumption_gate_exit_code(tmp_path):

@@ -269,6 +269,62 @@ def test_event_driven_needs_state_independent(scalar_rate_q):
         s.simulate_state_independent(m, [0.0], 1, cfg(scheme=s.EVENT_DRIVEN))
 
 
+# --- jump marks against the interval layout ----------------------------------
+
+def _assert_marks_match_layout(q, traj, x_at_switch):
+    for jr in traj.jumps:
+        lay = s.row_layout(q, x_at_switch(traj, jr), jr.src)
+        assert lay.start <= jr.mark < lay.start + lay.total
+        assert int(lay.displacement(jr.mark)) == jr.dst - jr.src
+
+
+def test_frozen_marks_land_in_destination_interval():
+    # five regimes, kappa = 2, rates growing with |x|: every block but the
+    # first starts past zero and most rows hold several nonempty intervals
+    def rate(x, i, j):
+        if i == j or abs(j - i) > 2 or not 1 <= j <= 5:
+            return 0.0
+        return (1.0 + abs(float(np.atleast_1d(x)[0]))) * (0.5 + 0.3 * j) / abs(j - i)
+    q = s.QMatrixSpec(rate=rate, kappa=2, lipschitz_cq=2.0,
+                      linear_bound_alpha=8.0, linear_bound_beta=8.0,
+                      n_regimes=5)
+    m = s.ModelSpec(dim=1, drift=lambda t, x, i: -np.asarray(x, dtype=float),
+                    diffusion=lambda t, x, i: 1.0, q=q,
+                    growth_c=lambda t: 1.5, dissipativity_c=lambda t, i: 1.0,
+                    diffusion_mod_c=lambda t, i: 1.0,
+                    ellipticity_lambda=lambda t: 1.0, model_id="sd5")
+
+    def x_at_switch(traj, jr):
+        k = int(np.searchsorted(traj.times, jr.time))
+        assert traj.times[k] == jr.time and traj.regime[k] == jr.dst
+        return traj.x[k]
+
+    seen = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", s.StiffSwitchingWarning)
+        for rep in range(20):
+            traj = s.simulate_path(m, [0.3], 1 + rep % 5, cfg(T=2.0, seed=17),
+                                   replica=rep)
+            _assert_marks_match_layout(q, traj, x_at_switch)
+            seen += len(traj.jumps)
+    assert seen >= 50
+
+
+def test_event_driven_marks_land_in_destination_interval():
+    rates = np.array([[0.0, 1.0, 2.0, 0.0], [1.5, 0.0, 0.5, 1.0],
+                      [0.7, 1.2, 0.0, 0.9], [0.0, 2.0, 1.0, 0.0]])
+    m = s.linear_switching_model(dim=1, beta=(1.0,) * 4, a=(0.0,) * 4,
+                                 s=(1.0,) * 4, rates=rates)
+    seen = 0
+    for rep in range(20):
+        traj = s.simulate_state_independent(
+            m, [0.0], 1 + rep % 4, cfg(T=3.0, scheme=s.EVENT_DRIVEN, seed=23),
+            replica=rep)
+        _assert_marks_match_layout(m.q, traj, lambda traj, jr: np.zeros(1))
+        seen += len(traj.jumps)
+    assert seen >= 50
+
+
 def test_stiff_switching_warns():
     rates = np.array([[0.0, 50.0], [50.0, 0.0]])
     m = s.linear_switching_model(beta=(1.0, 1.0), a=(0.0, 0.0), s=(1.0, 1.0),
@@ -280,6 +336,11 @@ def test_stiff_switching_warns():
 def test_sim_config_validation():
     with pytest.raises(ValueError):
         s.SimConfig(horizon=1.0, dt=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="dt"):
+            s.SimConfig(horizon=1.0, dt=bad)
+        with pytest.raises(ValueError, match="horizon"):
+            s.SimConfig(horizon=bad, dt=0.1)
     with pytest.raises(ValueError):
         s.SimConfig(horizon=1.0, dt=0.1, scheme="magic")
 

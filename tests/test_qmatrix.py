@@ -9,25 +9,36 @@ import switchsde as s
 from switchsde.qmatrix import smooth_cutoff
 
 
+def layout_entries(q, x, regimes):
+    """(i, j, left, right) of every nonempty interval of rows 1..regimes."""
+    got = []
+    for i in range(1, regimes + 1):
+        lay = s.row_layout(q, x, i)
+        for j, r, lo, hi in zip(lay.dests, lay.rates, lay.edges, lay.edges[1:]):
+            if r > 0.0:
+                got.append((i, int(j), float(lo), float(hi)))
+    return got
+
+
 def test_partition_layout_three_states(three_state_q):
-    part = s.build_partition(three_state_q, [0.0], 3)
-    got = [(e.i, e.j, e.left, e.right) for e in part.entries]
+    got = layout_entries(three_state_q, [0.0], 3)
     assert got == [(1, 2, 0.0, 1.0), (1, 3, 1.0, 3.0), (2, 1, 3.0, 5.0),
                    (2, 3, 5.0, 6.0), (3, 1, 6.0, 7.0), (3, 2, 7.0, 8.0)]
-    assert part.total_length == 8.0
+    last = s.row_layout(three_state_q, [0.0], 3)
+    assert last.start + last.total == 8.0
 
 
 def test_partition_all_zero_rates_is_empty():
     q = s.QMatrixSpec(rate=lambda x, i, j: 0.0, kappa=1, n_regimes=3,
                       state_independent=True)
-    part = s.build_partition(q, [1.0], 3)
-    assert part.entries == ()
-    assert part.total_length == 0.0
+    assert layout_entries(q, [1.0], 3) == []
+    last = s.row_layout(q, [1.0], 3)
+    assert last.start + last.total == 0.0
+    assert int(last.destination(0.5)) == 3
 
 
 def test_partition_state_dependent_rate(scalar_rate_q):
-    part = s.build_partition(scalar_rate_q, 0.7, 2)
-    got = [(e.i, e.j, e.left, e.right) for e in part.entries]
+    got = layout_entries(scalar_rate_q, 0.7, 2)
     assert got[0] == (1, 2, 0.0, 0.7)
     assert got[1][0:2] == (2, 1)
     assert got[1][2] == pytest.approx(0.7)
@@ -38,17 +49,29 @@ def test_partition_negative_rate_names_entry():
     q = s.QMatrixSpec(rate=lambda x, i, j: -1.0 if (i, j) == (2, 3) else 0.5,
                       kappa=1, n_regimes=3)
     with pytest.raises(s.InvalidModelError, match=r"i=2, j=3"):
-        s.build_partition(q, [0.0], 3)
+        s.row_layout(q, [0.0], 3)
 
 
 def test_displacement_examples(three_state_q):
-    part = s.build_partition(three_state_q, [0.0], 3)
-    assert s.displacement(part, 1, 0.5) == 1
-    assert s.displacement(part, 3, 6.2) == -2
-    assert s.displacement(part, 1, 100.0) == 0
-    assert s.displacement(part, 1, -0.1) == 0
+    def displacement(i, z):
+        return int(s.row_layout(three_state_q, [0.0], i).displacement(z))
+
+    assert displacement(1, 0.5) == 1
+    assert displacement(3, 6.2) == -2
+    assert displacement(1, 100.0) == 0
+    assert displacement(1, -0.1) == 0
     # a mark inside another row's interval is a no-op for this row
-    assert s.displacement(part, 1, 4.0) == 0
+    assert displacement(1, 4.0) == 0
+
+
+def test_destination_matches_displacement_of_mark(three_state_q):
+    # the relative mark u * q_i and the absolute mark pick the same entry
+    for i in (1, 2, 3):
+        lay = s.row_layout(three_state_q, [0.0], i)
+        u = np.linspace(0.0, 1.0, 97, endpoint=False)
+        dest = lay.destination(u)
+        moves = lay.displacement(lay.mark(u))
+        assert np.array_equal(dest - i, moves)
 
 
 def test_lp_distance_two_state_rows(scalar_rate_q):
@@ -101,11 +124,11 @@ def test_lp_distance_within_envelope_property(x, y, i, p):
 
 
 def test_partition_total_matches_row_sum_accumulation(three_state_q):
-    part = s.build_partition(three_state_q, [0.0], 3)
+    last = s.row_layout(three_state_q, [0.0], 3)
     total = 0.0
     for i in (1, 2, 3):
         total += three_state_q.total_rate(np.zeros(1), i)
-    assert part.total_length == total
+    assert last.start + last.total == total
 
 
 # --- truncation -------------------------------------------------------------
