@@ -1,21 +1,28 @@
 """Path simulation of (X_t, Lambda_t).
 
-Two schemes:
+Two schemes, each one batch runner over replica rows; a single recorded path
+is the runner's recording mode at one replica (``simulate_path``,
+``simulate_state_independent``):
 
-* ``frozen_rate`` -- works for state-dependent rates. Per step ``[t, t+dt)``
-  the switching intensity is frozen at the step start; an exponential clock
-  decides whether a switch happens inside the step; on a switch at ``s`` the
-  position is Euler-advanced to ``s``, the destination is drawn by dropping a
-  uniform mark on the current row block of the interval layout at the
-  advanced position, and the diffusion restarts with the new regime for the
-  step remainder. At most one switch fires per step (residual switches slide
-  to the next step; the weak bias is O(dt)); a warning fires when
-  ``dt * q_i(x)`` exceeds 0.1.
+* ``frozen_rate`` (``run_frozen``) -- works for state-dependent rates. Per
+  step ``[t, t+dt)`` the switching intensity is frozen at the step start; an
+  exponential clock decides whether a switch happens inside the step; on a
+  switch at ``s`` the position is Euler-advanced to ``s``, the destination is
+  drawn by dropping a uniform mark on the current row block of the interval
+  layout at the advanced position, and the diffusion restarts with the new
+  regime for the step remainder. At most one switch fires per step (residual
+  switches slide to the next step; the weak bias is O(dt)); a warning fires
+  when ``dt * q_i(x)`` exceeds 0.1.
 
-* ``event_driven_exact`` -- for state-independent rates only. The jump
-  skeleton is simulated first by competing exponentials (exact in law), the
-  frozen-regime SDE is Euler-integrated on each inter-jump segment, and
-  switching times carry no discretization bias.
+* ``event_driven_exact`` (``run_event_driven``) -- for state-independent
+  rates only. The jump skeleton is simulated first by competing exponentials
+  (exact in law), the frozen-regime SDE is Euler-integrated on each
+  inter-jump segment, and switching times carry no discretization bias.
+
+Both runners integrate through one regime-grouped Euler kernel over the model
+callbacks (``euler_step``; the event-driven runner adds a fast path for
+``linear_coeffs``). A runner reports rows whose state turned non-finite in
+its ``aborted`` mask; the recording mode raises ``NumericalBlowupError``.
 
 All randomness is counter-addressed per replica (see ``noise``): the same
 seed and replica id reproduce a path bit-for-bit regardless of batch size,
@@ -51,6 +58,11 @@ EVENT_DRIVEN = "event_driven_exact"
 SCHEMES = (FROZEN_RATE, EVENT_DRIVEN)
 
 
+def step_count(T: float, dt: float) -> int:
+    """Steps of size ``dt`` covering [0, T] (the last one may be shorter)."""
+    return int(math.ceil(T / dt - 1e-12)) if T > 0 else 0
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Horizon, step, truncation level, seeding and scheme for one run."""
@@ -75,24 +87,112 @@ class SimConfig:
             raise ValueError("replicas and threads must be >= 1")
 
     def n_steps(self) -> int:
-        if self.horizon == 0:
-            return 0
-        return int(math.ceil(self.horizon / self.dt - 1e-12))
+        return step_count(self.horizon, self.dt)
 
 
-def step_euler(model: ModelSpec, t: float, x, i: int, dt: float, dw) -> np.ndarray:
-    """One explicit Euler update ``x + b dt + sigma dW`` (dW already scaled)."""
-    x = as_point(x)
-    dw = as_point(dw)
-    b = np.asarray(model.drift(t, x, i), dtype=float)
-    sig = model.diffusion(t, x, i)
-    out = x + b * dt + apply_diffusion(sig, dw)
-    if not np.all(np.isfinite(out)):
-        raise NumericalBlowupError(t, x, i)
+def euler_step(model: ModelSpec, t, X: np.ndarray, lam: np.ndarray, h,
+               xi: np.ndarray) -> np.ndarray:
+    """Explicit Euler ``X + b h + sigma (sqrt(h) xi)`` for the rows of ``X``
+    (m, d) in regimes ``lam`` (m,), from standard normals ``xi`` (m, d).
+
+    ``t`` and ``h`` are scalars or per-row (m,) arrays. The callbacks run once
+    per regime present; non-finite results are returned, not raised.
+    """
+    if np.ndim(h):
+        h = h[:, None]
+    dw = np.sqrt(h) * xi
+
+    def step(k, t, X, h, dw):
+        b = np.asarray(model.drift(t, X, k), dtype=float)
+        return X + b * h + apply_diffusion(model.diffusion(t, X, k), dw)
+
+    ks = np.unique(lam).tolist() if len(lam) > 1 else lam.tolist()
+    if len(ks) == 1:
+        return step(ks[0], t, X, h, dw)
+    out = np.empty_like(X)
+    for k in ks:
+        grp = lam == k
+        out[grp] = step(k, t[grp] if np.ndim(t) else t, X[grp],
+                        h[grp] if np.ndim(h) else h, dw[grp])
     return out
 
 
-# --- state-independent chain machinery ---------------------------------------
+class _Rows:
+    """Per-row state of a batch run, shared by both runners: positions,
+    regimes, first-switch times, running regime and norm maxima, truncation
+    exit times and, in recording mode, row 0's path log and jump list."""
+
+    def __init__(self, model: ModelSpec, x0, i0: int, replicas,
+                 trunc_level: Optional[float], track_xmax: bool, record: bool):
+        self.replicas = np.asarray(replicas, dtype=np.uint64)
+        n, d = len(self.replicas), model.dim
+        x0 = np.asarray(x0, dtype=float)
+        self.X = np.tile(x0, (n, 1)) if x0.ndim == 1 else x0.copy()
+        if self.X.shape != (n, d):
+            raise ValueError(f"x0 shape {x0.shape} incompatible with "
+                             f"{n} replicas in dimension {d}")
+        if record and n != 1:
+            raise ValueError("recording needs a single replica")
+        self.lam = np.full(n, int(i0), dtype=np.int64)
+        self.eta = np.full(n, np.inf)
+        self.lam_max = self.lam.astype(float)
+        self.trunc_level = trunc_level
+        self.track_xmax = track_xmax
+        xnorm = np.linalg.norm(self.X, axis=1)
+        self.xmax = xnorm.copy() if track_xmax else None
+        self.tau = np.full(n, np.inf)
+        if trunc_level is not None:
+            self.tau[xnorm + self.lam > trunc_level] = 0.0
+        self.log = [] if record else None
+        self.jumps: list[JumpRecord] = []
+        self.log_row(0.0)
+
+    def log_row(self, t) -> None:
+        """Append row 0's time, position and regime (recording mode only)."""
+        if self.log is not None:
+            self.log.append((float(t), self.X[0].copy(), int(self.lam[0])))
+
+    def observe(self, idx, t) -> None:
+        """Fold the states of rows ``idx`` at times ``t`` into the running
+        norm maxima and the truncation exit times."""
+        if not self.track_xmax and self.trunc_level is None:
+            return
+        X = self.X[idx]
+        xn = np.sqrt(np.add.reduce(X * X, axis=1))  # np.linalg.norm's sum
+        if self.track_xmax:
+            self.xmax[idx] = np.maximum(self.xmax[idx], xn)
+        if self.trunc_level is not None:
+            over = xn + self.lam[idx] > self.trunc_level
+            if over.any():
+                tau = self.tau[idx]
+                crossed = np.isinf(tau) & over
+                tau[crossed] = t[crossed] if np.ndim(t) else t
+                self.tau[idx] = tau
+
+    def switch(self, idx, t: np.ndarray, new: np.ndarray) -> None:
+        """Move rows ``idx`` to regimes ``new`` at times ``t``; a row's first
+        actual change of regime sets its ``eta``."""
+        eta = self.eta[idx]
+        first = np.isinf(eta) & (new != self.lam[idx])
+        eta[first] = t[first]
+        self.eta[idx] = eta
+        self.lam[idx] = new
+        self.lam_max[idx] = np.maximum(self.lam_max[idx], new)
+
+    def result(self) -> dict:
+        aborted = ~np.all(np.isfinite(self.X), axis=1)
+        out = {"x": self.X, "regime": self.lam, "eta": self.eta,
+               "regime_max": self.lam_max, "tau_k": self.tau,
+               "aborted": aborted}
+        if self.track_xmax:
+            out["xnorm_max"] = self.xmax
+            out["aborted"] = aborted | ~np.isfinite(self.xmax)
+        if self.log is not None:
+            out["log"], out["jumps"] = self.log, self.jumps
+        return out
+
+
+# --- interval-layout lookups ---------------------------------------------------
 
 def _zero_layouts(q: QMatrixSpec, dim: int):
     """Regime -> row layout at x = 0, built once per regime on first use
@@ -110,15 +210,19 @@ def _destinations(layout, lam, U):
     return out
 
 
-def _holding_times(layout, lam, E):
-    """E / q_k per replica in regime ``lam``; inf where the row sum vanishes."""
-    out = np.full(lam.shape, np.inf)
-    for k in np.unique(lam):
-        grp = lam == k
-        tot = layout(int(k)).total
-        if tot > 0:
-            out[grp] = E[grp] / tot
+def _regime_totals(layout, lam):
+    """Row sums ``q_k`` per replica in regime ``lam`` (state-independent)."""
+    out = np.empty(len(lam))
+    for k in np.unique(lam).tolist():
+        out[lam == k] = layout(k).total
     return out
+
+
+def _holding_times(E, totals):
+    """Clocks ``E / q_i`` per row; inf where the row sum vanishes."""
+    if totals.all():
+        return E / totals
+    return np.divide(E, totals, out=np.full(len(E), np.inf), where=totals > 0)
 
 
 def run_chain(q: QMatrixSpec, i0: int, T: float, stream: NoiseStream,
@@ -127,51 +231,49 @@ def run_chain(q: QMatrixSpec, i0: int, T: float, stream: NoiseStream,
 
     Returns final regimes, first-switch times ``eta``, running regime maxima
     and the regime at each requested mark time. Uses the same jump-lane
-    addressing as the full runner, so the skeletons agree bit-for-bit.
+    addressing as the full runner, so the skeletons agree bit-for-bit; each
+    pass draws marks and clocks for the switching replicas only.
     """
     if not q.state_independent:
         raise UnsupportedSchemeError("chain-only simulation needs "
                                      "state-independent rates")
     n = len(replicas)
+    keys = stream.replica_keys(replicas)
     layout = _zero_layouts(q, 1)
     lam = np.full(n, int(i0), dtype=np.int64)
     cur = np.zeros(n)
-    jump_ctr = np.zeros(n, dtype=np.uint64)
+    jump_ctr = np.ones(n, dtype=np.uint64)
     eta = np.full(n, np.inf)
-    lam_max = lam.astype(float).copy()
+    lam_max = lam.astype(float)
     marks = [float(tm) for tm in t_marks]
     lam_at = np.full((len(marks), n), int(i0), dtype=np.int64)
     unfilled = np.ones((len(marks), n), dtype=bool)
-
-    E = stream.exponential(replicas, LANE_JUMP, jump_ctr)
-    jump_ctr += np.uint64(1)
-    nxt = cur + _holding_times(layout, lam, E)
+    nxt = cur + _holding_times(keyed_exponential(keys, LANE_JUMP, np.uint64(0)),
+                               _regime_totals(layout, lam))
 
     while True:
-        jumpers = nxt <= T
         for mi, tm in enumerate(marks):
             hit = unfilled[mi] & (cur <= tm) & (nxt > tm)
             lam_at[mi][hit] = lam[hit]
             unfilled[mi][hit] = False
-        if not jumpers.any():
+        jr = np.flatnonzero(nxt <= T)
+        if not jr.size:
             break
-        U = stream.uniform(replicas, LANE_JUMP, jump_ctr)
-        jump_ctr += jumpers
-        eta = np.where(jumpers & np.isinf(eta), nxt, eta)
-        lam[jumpers] = _destinations(layout, lam[jumpers], U[jumpers])
-        lam_max = np.maximum(lam_max, lam)
-        cur = np.where(jumpers, nxt, cur)
-        E = stream.exponential(replicas, LANE_JUMP, jump_ctr)
-        jump_ctr += jumpers
-        nxt[jumpers] = cur[jumpers] + _holding_times(layout, lam[jumpers],
-                                                    E[jumpers])
+        U = keyed_uniform(keys[jr], LANE_JUMP, jump_ctr[jr])
+        E = keyed_exponential(keys[jr], LANE_JUMP, jump_ctr[jr] + np.uint64(1))
+        jump_ctr[jr] += np.uint64(2)
+        eta[jr] = np.where(np.isinf(eta[jr]), nxt[jr], eta[jr])
+        lam[jr] = _destinations(layout, lam[jr], U)
+        lam_max[jr] = np.maximum(lam_max[jr], lam[jr])
+        cur[jr] = nxt[jr]
+        nxt[jr] = cur[jr] + _holding_times(E, _regime_totals(layout, lam[jr]))
 
     for mi in range(len(marks)):
         lam_at[mi][unfilled[mi]] = lam[unfilled[mi]]
     return {"regime": lam, "eta": eta, "regime_max": lam_max, "regime_at": lam_at}
 
 
-# --- event-driven exact runner -----------------------------------------------
+# --- batch runners ---------------------------------------------------------------
 
 def run_event_driven(model: ModelSpec, x0, i0: int, T: float, dt: float,
                      stream: NoiseStream, replicas: np.ndarray, *,
@@ -190,53 +292,26 @@ def run_event_driven(model: ModelSpec, x0, i0: int, T: float, dt: float,
         raise UnsupportedSchemeError(
             "event_driven_exact requires state-independent rates")
     d = model.dim
-    replicas = np.asarray(replicas, dtype=np.uint64)
-    n = len(replicas)
-    x0 = np.asarray(x0, dtype=float)
-    X = np.tile(x0, (n, 1)) if x0.ndim == 1 else x0.astype(float).copy()
-    if X.shape != (n, d):
-        raise ValueError(f"x0 shape {x0.shape} incompatible with "
-                         f"{n} replicas in dimension {d}")
-    if record and n != 1:
-        raise ValueError("recording needs a single replica")
-
+    rows = _Rows(model, x0, i0, replicas, trunc_level, track_xmax, record)
+    X, lam = rows.X, rows.lam
+    n = len(lam)
     layout = _zero_layouts(q, d)
-    keys = stream.replica_keys(replicas)
+    keys = stream.replica_keys(rows.replicas)
     lincoef = model.linear_coeffs
-    lam = np.full(n, int(i0), dtype=np.int64)
     sub_ctr = np.zeros(n, dtype=np.uint64)
-    jump_ctr = np.zeros(n, dtype=np.uint64)
-    eta = np.full(n, np.inf)
-    lam_max = lam.astype(float)
-    xnorm = np.linalg.norm(X, axis=1)
-    xmax = xnorm.copy() if track_xmax else None
-    tau = np.full(n, np.inf)
-    observing = track_xmax or trunc_level is not None
-    if trunc_level is not None:
-        tau[xnorm + lam > trunc_level] = 0.0
-    log = [(0.0, X[0].copy(), int(lam[0]), False)] if record else None
-    jumps: list[JumpRecord] = []
-
-    E = keyed_exponential(keys, LANE_JUMP, jump_ctr)
-    jump_ctr += np.uint64(1)
-    next_jump = _holding_times(layout, lam, E)
+    jump_ctr = np.ones(n, dtype=np.uint64)
+    next_jump = _holding_times(keyed_exponential(keys, LANE_JUMP, np.uint64(0)),
+                               _regime_totals(layout, lam))
 
     comps = np.arange(d, dtype=np.uint64)
     ud = np.uint64(d)
     seg = np.zeros(n)
-    n_steps = int(math.ceil(T / dt - 1e-12)) if T > 0 else 0
 
     Xflat = X[:, 0] if d == 1 else None
     if lincoef is not None:
         # regime-wise coefficients cached full-width; jumps refresh their rows
         co_beta, co_a, co_s = (np.array(v, dtype=float, copy=True)
                                for v in lincoef(lam))
-
-    def _refresh_coeffs(jidx, new_j):
-        nb, na, ns = lincoef(new_j)
-        co_beta[jidx] = nb
-        co_a[jidx] = na
-        co_s[jidx] = ns
 
     def _euler(idx, t_of, h):
         """Advance rows ``idx`` (index array or full slice) by ``h``."""
@@ -252,54 +327,25 @@ def run_event_driven(model: ModelSpec, x0, i0: int, T: float, dt: float,
             sub_ctr[idx] = ctr + np.uint64(1)
             return
         xi = keyed_normal(kk[:, None], LANE_EULER, ctr[:, None] * ud + comps)
-        xs = X[idx]
-        if np.ndim(h) == 0:
-            hcol = h
-            sq = math.sqrt(h)
+        if lincoef is None:
+            X[idx] = euler_step(model, t_of, X[idx], lam[idx], h, xi)
         else:
-            hcol = h[:, None]
-            sq = np.sqrt(h)[:, None]
-        if lincoef is not None:
+            xs = X[idx]
+            hcol, sq = ((h, math.sqrt(h)) if np.ndim(h) == 0
+                        else (h[:, None], np.sqrt(h)[:, None]))
             X[idx] = (xs + (co_a[idx][:, None] - co_beta[idx][:, None] * xs)
                       * hcol + co_s[idx][:, None] * (sq * xi))
-        else:
-            out = np.array(xs, copy=True)
-            lam_rows = lam[idx]
-            for k in np.unique(lam_rows):
-                grp = lam_rows == k
-                targ = t_of if np.ndim(t_of) == 0 else t_of[grp]
-                b = np.asarray(model.drift(targ, xs[grp], int(k)), dtype=float)
-                sig = model.diffusion(targ, xs[grp], int(k))
-                hh = hcol if np.ndim(h) == 0 else hcol[grp]
-                sqh = sq if np.ndim(h) == 0 else sq[grp]
-                out[grp] = xs[grp] + b * hh + apply_diffusion(sig, sqh * xi[grp])
-            X[idx] = out
         sub_ctr[idx] = ctr + np.uint64(1)
 
-    def _observe(idx, t_like):
-        if not observing:
-            return
-        xn = np.linalg.norm(X[idx], axis=1)
-        if track_xmax:
-            xmax[idx] = np.maximum(xmax[idx], xn)
-        if trunc_level is not None:
-            sub_tau = tau[idx]
-            crossed = np.isinf(sub_tau) & (xn + lam[idx] > trunc_level)
-            if crossed.any():
-                sub_tau[crossed] = (t_like[crossed]
-                                    if np.ndim(t_like) else t_like)
-                tau[idx] = sub_tau
-
     full = slice(None)
-    for g in range(n_steps):
+    for g in range(step_count(T, dt)):
         t0 = g * dt
         t1 = min(T, (g + 1) * dt)
         if next_jump.min() > t1:
             # no switch anywhere this step: one lockstep substep
             _euler(full, t0, t1 - t0)
-            _observe(full, t1)
-            if record:
-                log.append((t1, X[0].copy(), int(lam[0]), False))
+            rows.observe(full, t1)
+            rows.log_row(t1)
             continue
         seg.fill(t0)
         while True:
@@ -310,60 +356,125 @@ def run_event_driven(model: ModelSpec, x0, i0: int, T: float, dt: float,
                 act = full if sel.size == n else sel
                 _euler(act, seg[act], h[act])
                 seg[act] = adv[act]
-                _observe(act, adv[act])
-                if record and sel[0] == 0 and seg[0] != next_jump[0]:
+                rows.observe(act, adv[act])
+                if record and seg[0] != next_jump[0]:
                     # a switch at this exact time logs its own row instead
-                    log.append((float(seg[0]), X[0].copy(), int(lam[0]), False))
+                    rows.log_row(seg[0])
             # seg is finite, so seg == next_jump can only fire at finite jumps
             jidx = np.flatnonzero(seg == next_jump)
-            if jidx.size:
-                U = keyed_uniform(keys[jidx], LANE_JUMP, jump_ctr[jidx])
-                jump_ctr[jidx] += np.uint64(1)
-                new_j = _destinations(layout, lam[jidx], U)
-                eta_j = eta[jidx]
-                fresh = np.isinf(eta_j)
-                eta_j[fresh] = seg[jidx][fresh]
-                eta[jidx] = eta_j
-                if record and jidx[0] == 0:
-                    src, dst = int(lam[0]), int(new_j[0])
-                    mark = layout(src).mark(float(U[0]))
-                    jumps.append(JumpRecord(float(seg[0]), src, dst, mark))
-                    log.append((float(seg[0]), X[0].copy(), dst, True))
-                lam[jidx] = new_j
-                lam_max[jidx] = np.maximum(lam_max[jidx], new_j)
-                if lincoef is not None:
-                    _refresh_coeffs(jidx, new_j)
-                if trunc_level is not None:
-                    _observe(jidx, seg[jidx])
-                E = keyed_exponential(keys[jidx], LANE_JUMP, jump_ctr[jidx])
-                jump_ctr[jidx] += np.uint64(1)
-                next_jump[jidx] = seg[jidx] + _holding_times(layout, new_j, E)
-            else:
-                # every replica reached t1 without a pending switch
-                break
+            if not jidx.size:
+                break  # every replica reached t1 without a pending switch
+            U = keyed_uniform(keys[jidx], LANE_JUMP, jump_ctr[jidx])
+            E = keyed_exponential(keys[jidx], LANE_JUMP,
+                                  jump_ctr[jidx] + np.uint64(1))
+            jump_ctr[jidx] += np.uint64(2)
+            new_j = _destinations(layout, lam[jidx], U)
+            if record:
+                src = int(lam[0])
+                rows.jumps.append(JumpRecord(float(seg[0]), src, int(new_j[0]),
+                                             layout(src).mark(float(U[0]))))
+            rows.switch(jidx, seg[jidx], new_j)
+            rows.log_row(seg[0])
+            if lincoef is not None:
+                co_beta[jidx], co_a[jidx], co_s[jidx] = lincoef(new_j)
+            rows.observe(jidx, seg[jidx])
+            next_jump[jidx] = seg[jidx] + _holding_times(
+                E, _regime_totals(layout, new_j))
+    return rows.result()
 
-    aborted = ~np.all(np.isfinite(X), axis=1)
-    out = {"x": X, "regime": lam, "eta": eta, "regime_max": lam_max,
-           "tau_k": tau, "aborted": aborted}
-    if track_xmax:
-        out["xnorm_max"] = xmax
-        out["aborted"] = aborted | ~np.isfinite(xmax)
-    if record:
-        out["log"] = log
-        out["jumps"] = jumps
-    return out
+
+def run_frozen(model: ModelSpec, x0, i0: int, T: float, dt: float,
+               stream: NoiseStream, replicas: np.ndarray, *,
+               trunc_level: Optional[float] = None,
+               track_xmax: bool = False, record: bool = False) -> dict:
+    """Batch simulation under the frozen-rate scheme (state-dependent rates
+    allowed); arguments and outputs as for ``run_event_driven``.
+
+    Step ``g`` reads its clock at jump index ``2g``, its mark at ``2g + 1``
+    and its Euler draws at ``2dg + c`` before a switch and ``2dg + d + c``
+    after it. Rates are read per row (per regime when state-independent). A
+    row whose state turns non-finite stops where it died and is reported in
+    the ``aborted`` mask.
+    """
+    q, d = model.q, model.dim
+    rows = _Rows(model, x0, i0, replicas, trunc_level, track_xmax, record)
+    X, lam = rows.X, rows.lam
+    layout = _zero_layouts(q, d)
+    keys = stream.replica_keys(rows.replicas)
+    comps = np.arange(d, dtype=np.uint64)
+    n = len(lam)
+    live = np.arange(n)
+    warned = False
+    for g in range(step_count(T, dt)):
+        t0 = g * dt
+        t1 = min(T, t0 + dt)
+        h = t1 - t0
+        if h <= 0 or not live.size:
+            break
+        at = slice(None) if live.size == n else live  # views until a row dies
+        lv = lam[at]
+        qi = (_regime_totals(layout, lv) if q.state_independent else
+              np.array([q.total_rate(x, k) for x, k in zip(X[at], lv.tolist())]))
+        if not warned and qi.max() * h > 0.1:
+            warnings.warn(
+                f"dt * q_i(x) = {qi.max() * h:.3f} > 0.1 at t={t0:.4g}; "
+                "switching is under-resolved, reduce dt", StiffSwitchingWarning)
+            warned = True
+        kl = keys[at]
+        E = keyed_exponential(kl, LANE_JUMP, np.uint64(2 * g))
+        s_rel = _holding_times(E, qi)
+        sw = s_rel < h
+        xi = keyed_normal(kl[:, None], LANE_EULER, np.uint64(2 * d * g) + comps)
+        X[at] = euler_step(model, t0, X[at], lv, np.where(sw, s_rel, h), xi)
+        ok = np.isfinite(X[at]).all(axis=1)
+        if record and not (ok[0] and sw[0]):
+            # the step's end, or where the row died
+            rows.log_row(t0 + s_rel[0] if sw[0] else t1)
+        jumped = ok & sw
+        jr = live[jumped]
+        if jr.size:
+            s = t0 + s_rel[jumped]
+            U = keyed_uniform(keys[jr], LANE_JUMP, np.uint64(2 * g + 1))
+            src = lam[jr]
+            new = (_destinations(layout, src, U) if q.state_independent else
+                   np.array([row_layout(q, x, k).destination(u) for x, k, u
+                             in zip(X[jr], src.tolist(), U.tolist())]))
+            if record and new[0] != src[0]:
+                lay = row_layout(q, X[0], int(src[0]))
+                rows.jumps.append(JumpRecord(float(s[0]), int(src[0]),
+                                             int(new[0]), lay.mark(float(U[0]))))
+            rows.switch(jr, s, new)
+            rows.observe(jr, s)
+            rows.log_row(s[0])
+            xi = keyed_normal(keys[jr][:, None], LANE_EULER,
+                              np.uint64(2 * d * g + d) + comps)
+            X[jr] = euler_step(model, s, X[jr], new, t1 - s, xi)
+            ok[jumped] = np.isfinite(X[jr]).all(axis=1)
+            rows.log_row(t1)
+        if not ok.all():
+            live = live[ok]
+        rows.observe(slice(None) if live.size == n else live, t1)
+    return rows.result()
 
 
 # --- trajectory-level operations ----------------------------------------------
 
-def _as_trajectory(out: dict, cfg: SimConfig) -> Trajectory:
+def _recorded(runner, model: ModelSpec, x0, i0: int, cfg: SimConfig,
+              replica: int, stream: Optional[NoiseStream]) -> Trajectory:
+    """One replica through ``runner`` in recording mode, as a trajectory; a
+    row that turned non-finite raises at its last logged state."""
+    out = runner(model, as_point(x0), i0, cfg.horizon, cfg.dt,
+                 stream or NoiseStream(cfg.seed),
+                 np.array([replica], dtype=np.uint64),
+                 trunc_level=cfg.truncation, record=True)
     log = out["log"]
-    times = np.array([r[0] for r in log])
-    xs = np.stack([r[1] for r in log])
-    regs = np.array([r[2] for r in log], dtype=np.int64)
-    return Trajectory(times=times, x=xs, regime=regs, jumps=list(out["jumps"]),
-                      eta=float(out["eta"][0]), tau_k=float(out["tau_k"][0]),
-                      seed=cfg.seed)
+    if out["aborted"][0]:
+        raise NumericalBlowupError(*log[-1])
+    return Trajectory(times=np.array([r[0] for r in log]),
+                      x=np.stack([r[1] for r in log]),
+                      regime=np.array([r[2] for r in log], dtype=np.int64),
+                      jumps=out["jumps"], eta=float(out["eta"][0]),
+                      tau_k=float(out["tau_k"][0]), seed=cfg.seed)
 
 
 def simulate_state_independent(model: ModelSpec, x0, i0: int, cfg: SimConfig, *,
@@ -371,15 +482,7 @@ def simulate_state_independent(model: ModelSpec, x0, i0: int, cfg: SimConfig, *,
                                stream: Optional[NoiseStream] = None) -> Trajectory:
     """Exact event-driven path: jump skeleton first, frozen-regime Euler
     integration on each inter-jump interval."""
-    stream = stream or NoiseStream(cfg.seed)
-    out = run_event_driven(model, as_point(x0), i0, cfg.horizon, cfg.dt, stream,
-                           np.array([replica], dtype=np.uint64),
-                           trunc_level=cfg.truncation, track_xmax=False,
-                           record=True)
-    if out["aborted"][0]:
-        bad = out["x"][0]
-        raise NumericalBlowupError(cfg.horizon, bad, int(out["regime"][0]))
-    return _as_trajectory(out, cfg)
+    return _recorded(run_event_driven, model, x0, i0, cfg, replica, stream)
 
 
 def simulate_path(model: ModelSpec, x0, i0: int, cfg: SimConfig, *,
@@ -389,82 +492,7 @@ def simulate_path(model: ModelSpec, x0, i0: int, cfg: SimConfig, *,
     if cfg.scheme != FROZEN_RATE:
         raise UnsupportedSchemeError(
             f"simulate_path implements {FROZEN_RATE!r}; got {cfg.scheme!r}")
-    stream = stream or NoiseStream(cfg.seed)
-    d = model.dim
-    x = as_point(x0).astype(float)
-    if len(x) != d:
-        raise ValueError(f"x0 has dimension {len(x)}, model has {d}")
-    i = int(i0)
-    K = cfg.truncation
-    times = [0.0]
-    xs = [x.copy()]
-    regs = [i]
-    jumps: list[JumpRecord] = []
-    eta = math.inf
-    tau = math.inf
-    if K is not None and np.linalg.norm(x) + i > K:
-        tau = 0.0
-    warned = False
-
-    def _push(t, xv, reg):
-        nonlocal tau
-        times.append(float(t))
-        xs.append(xv.copy())
-        regs.append(int(reg))
-        if K is not None and math.isinf(tau) and np.linalg.norm(xv) + reg > K:
-            tau = float(t)
-
-    for sidx in range(cfg.n_steps()):
-        t0 = sidx * cfg.dt
-        t1 = min(cfg.horizon, t0 + cfg.dt)
-        h = t1 - t0
-        if h <= 0:
-            break
-        qi = model.q.total_rate(x, i)
-        if qi * h > 0.1 and not warned:
-            warnings.warn(
-                f"dt * q_i(x) = {qi * h:.3f} > 0.1 at t={t0:.4g}; switching is "
-                "under-resolved, reduce dt", StiffSwitchingWarning)
-            warned = True
-        E = float(stream.exponential(replica, LANE_JUMP, 2 * sidx))
-        s_rel = E / qi if qi > 0 else math.inf
-        base = 2 * d * sidx
-        xi1 = stream.normal(replica, LANE_EULER,
-                            np.arange(base, base + d, dtype=np.uint64))
-        b = np.asarray(model.drift(t0, x, i), dtype=float)
-        sig = model.diffusion(t0, x, i)
-        if s_rel >= h:
-            x = x + b * h + apply_diffusion(sig, math.sqrt(h) * xi1)
-            if not np.all(np.isfinite(x)):
-                raise NumericalBlowupError(t1, x, i)
-            _push(t1, x, i)
-        else:
-            s = t0 + s_rel
-            x = x + b * s_rel + apply_diffusion(sig, math.sqrt(s_rel) * xi1)
-            if not np.all(np.isfinite(x)):
-                raise NumericalBlowupError(s, x, i)
-            u = float(stream.uniform(replica, LANE_JUMP, 2 * sidx + 1))
-            lay = row_layout(model.q, x, i)
-            j = int(lay.destination(u))
-            if j != i:
-                jumps.append(JumpRecord(s, i, j, lay.mark(u)))
-                if math.isinf(eta):
-                    eta = s
-            _push(s, x, j)
-            rem = t1 - s
-            b2 = np.asarray(model.drift(s, x, j), dtype=float)
-            sig2 = model.diffusion(s, x, j)
-            xi2 = stream.normal(replica, LANE_EULER,
-                                np.arange(base + d, base + 2 * d, dtype=np.uint64))
-            x = x + b2 * rem + apply_diffusion(sig2, math.sqrt(rem) * xi2)
-            if not np.all(np.isfinite(x)):
-                raise NumericalBlowupError(t1, x, j)
-            i = j
-            _push(t1, x, i)
-
-    return Trajectory(times=np.array(times), x=np.stack(xs),
-                      regime=np.array(regs, dtype=np.int64), jumps=jumps,
-                      eta=eta, tau_k=tau, seed=cfg.seed)
+    return _recorded(run_frozen, model, x0, i0, cfg, replica, stream)
 
 
 def simulate(model: ModelSpec, x0, i0: int, cfg: SimConfig, *,

@@ -25,9 +25,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from .engine import (EVENT_DRIVEN, FROZEN_RATE, DEFAULT_SEED, SimConfig,
-                     run_chain, run_event_driven, simulate_path,
+                     run_chain, run_event_driven, run_frozen, simulate_path,
                      simulate_truncated)
-from .errors import InvalidModelError, NumericalBlowupError, UnsupportedSchemeError
+from .errors import InvalidModelError, UnsupportedSchemeError
 from .markov import holding_probability, transition_matrix
 from .models import (HARNACK_PREREQUISITES, ModelSpec, SamplingPlan,
                      check_assumptions)
@@ -128,14 +128,16 @@ def _run_batches(n: int, threads: int, kernel, axis: int = 0) -> dict:
             for key in results[0]}
 
 
-def _stacked_event_run(model, starts, i0, T, n, cfg, threads, *, salt=0,
-                       trunc_level=None, track_xmax=False):
-    """One event-driven run covering several start points under common random
-    numbers: block ``b`` holds replicas 0..n-1 started from ``starts[b]``,
-    and the replica ids repeat across blocks so paired rows share all draws.
+def _stacked_run(model, scheme, starts, i0, T, n, cfg, threads, *, salt=0,
+                 trunc_level=None, track_xmax=False):
+    """One batch run of ``scheme`` covering several start points under common
+    random numbers: block ``b`` holds replicas 0..n-1 started from
+    ``starts[b]``, and the replica ids repeat across blocks so paired rows
+    share all draws.
 
     Returns a dict of arrays shaped (n_blocks, n).
     """
+    runner = run_event_driven if scheme == EVENT_DRIVEN else run_frozen
     starts = [as_point(s) for s in starts]
     nb = len(starts)
     stream = NoiseStream(cfg.seed, salt=salt)
@@ -144,8 +146,8 @@ def _stacked_event_run(model, starts, i0, T, n, cfg, threads, *, salt=0,
         m = hi - lo
         ids = np.tile(np.arange(lo, hi, dtype=np.uint64), nb)
         x0 = np.vstack([np.tile(s, (m, 1)) for s in starts])
-        out = run_event_driven(model, x0, i0, T, cfg.dt, stream, ids,
-                               trunc_level=trunc_level, track_xmax=track_xmax)
+        out = runner(model, x0, i0, T, cfg.dt, stream, ids,
+                     trunc_level=trunc_level, track_xmax=track_xmax)
         res = {}
         for key, val in out.items():
             val = np.asarray(val)
@@ -153,40 +155,6 @@ def _stacked_event_run(model, starts, i0, T, n, cfg, threads, *, salt=0,
         return res
 
     return _run_batches(n, threads, kernel, axis=1)
-
-
-def _frozen_final_states(model, x, i, T, n, cfg, threads, salt=0):
-    """Per-replica final states under the frozen-rate scheme (python loop)."""
-    stream = NoiseStream(cfg.seed, salt=salt)
-    cfg_t = replace(cfg, horizon=T, scheme=FROZEN_RATE)
-    d = model.dim
-
-    def kernel(lo, hi):
-        m = hi - lo
-        xs = np.full((m, d), np.nan)
-        lams = np.zeros(m, dtype=np.int64)
-        etas = np.full(m, np.inf)
-        xmaxs = np.full(m, np.nan)
-        lmaxs = np.full(m, np.nan)
-        taus = np.full(m, np.inf)
-        ab = np.zeros(m, dtype=bool)
-        for k in range(m):
-            try:
-                traj = simulate_path(model, x, i, cfg_t, replica=lo + k,
-                                     stream=stream)
-            except NumericalBlowupError:
-                ab[k] = True
-                continue
-            xs[k] = traj.x[-1]
-            lams[k] = traj.regime[-1]
-            etas[k] = traj.eta
-            taus[k] = traj.tau_k
-            xmaxs[k] = float(np.max(np.linalg.norm(traj.x, axis=1)))
-            lmaxs[k] = float(traj.regime.max())
-        return {"x": xs, "regime": lams, "eta": etas, "xnorm_max": xmaxs,
-                "regime_max": lmaxs, "tau_k": taus, "aborted": ab}
-
-    return _run_batches(n, threads, kernel)
 
 
 def _chain_etas(model, i, T, n, cfg, threads, salt=0):
@@ -209,16 +177,9 @@ def semigroup_estimate(model: ModelSpec, f: Callable, t: float, x, i: int,
     ``f`` is vectorized: ``f(X, lam)`` with ``X`` of shape (m, d) and ``lam``
     of shape (m,) returns (m,) values.
     """
-    if cfg.scheme == EVENT_DRIVEN:
-        out = _stacked_event_run(model, [x], i, t, n, cfg, threads)
-        vals = np.asarray(f(out["x"][0], out["regime"][0]), dtype=float)
-        return mc_from_values(vals, out["aborted"][0])
-    out = _frozen_final_states(model, x, i, t, n, cfg, threads)
-    good = ~out["aborted"]
-    vals = np.full(n, np.nan)
-    if good.any():
-        vals[good] = np.asarray(f(out["x"][good], out["regime"][good]), dtype=float)
-    return mc_from_values(vals, out["aborted"])
+    out = _stacked_run(model, cfg.scheme, [x], i, t, n, cfg, threads)
+    vals = np.asarray(f(out["x"][0], out["regime"][0]), dtype=float)
+    return mc_from_values(vals, out["aborted"][0])
 
 
 @dataclass(frozen=True)
@@ -245,8 +206,8 @@ def first_jump_estimate(model: ModelSpec, f: Callable, t: float, x, i: int,
     if not model.q.state_independent:
         raise UnsupportedSchemeError(
             "the first-switch decomposition needs state-independent rates")
-    out = _stacked_event_run(model, [x], i, t, n, cfg, threads,
-                             salt=_SALT_FIRST_JUMP)
+    out = _stacked_run(model, EVENT_DRIVEN, [x], i, t, n, cfg, threads,
+                       salt=_SALT_FIRST_JUMP)
     vals = np.asarray(f(out["x"][0], out["regime"][0]), dtype=float)
     aborted = out["aborted"][0]
     total = mc_from_values(vals, aborted)
@@ -293,16 +254,11 @@ def moment_bound_check(model: ModelSpec, x, i: int, T: float, n: int,
     ``margin = rhs - (mean + 3 se)``."""
     if math.isnan(model.q.linear_bound_alpha) or model.growth_c is None:
         raise InvalidModelError("moment bound needs alpha/beta/c(t) metadata")
-    if model.q.state_independent:
-        out = _stacked_event_run(model, [x], i, T, n, cfg, threads,
-                                 track_xmax=True)
-        vals = out["xnorm_max"][0] ** 2 + out["regime_max"][0] ** 2
-        aborted = out["aborted"][0]
-    else:
-        out = _frozen_final_states(model, x, i, T, n, cfg, threads)
-        vals = out["xnorm_max"] ** 2 + out["regime_max"] ** 2
-        aborted = out["aborted"]
-    lhs = mc_from_values(vals, aborted)
+    scheme = EVENT_DRIVEN if model.q.state_independent else FROZEN_RATE
+    out = _stacked_run(model, scheme, [x], i, T, n, cfg, threads,
+                       track_xmax=True)
+    lhs = mc_from_values(out["xnorm_max"][0] ** 2 + out["regime_max"][0] ** 2,
+                         out["aborted"][0])
     rhs = second_moment_envelope(model, x, i, T, c1)
     margin = rhs - (lhs.mean + 3.0 * lhs.stderr)
     return _bound_report("moments", lhs, rhs, margin, model=model.model_id,
@@ -331,8 +287,9 @@ def holding_time_check(model: ModelSpec, x, k: int, K: int,
     if model.q.state_independent:
         eta = _chain_etas(model, k, horizon, n, cfg, threads)
     else:
-        out = _frozen_final_states(model, x, k, horizon, n, cfg, threads)
-        eta = out["eta"]
+        out = _stacked_run(model, FROZEN_RATE, [x], k, horizon, n, cfg, threads)
+        # an aborted replica is scored as "no switch"
+        eta = np.where(out["aborted"][0], np.inf, out["eta"][0])
     reports = []
     for t in t_grid:
         cnt = int(np.sum(eta >= t))
@@ -397,7 +354,7 @@ def harnack_check(model: ModelSpec, f: Callable, x, y, i: int, T: float,
 
     x = as_point(x)
     y = as_point(y)
-    out = _stacked_event_run(model, [y, x], i, T, n, cfg, threads)
+    out = _stacked_run(model, EVENT_DRIVEN, [y, x], i, T, n, cfg, threads)
 
     def clamp(vals):
         return np.maximum(np.asarray(vals, dtype=float), f_floor)
@@ -496,7 +453,7 @@ def feller_modulus(model: ModelSpec, f: Callable, t: float, x, i: int,
     e1 = np.zeros(model.dim)
     e1[0] = 1.0
     starts = [x] + [x + float(r) * e1 for r in radii]
-    out = _stacked_event_run(model, starts, i, t, n, cfg, threads)
+    out = _stacked_run(model, EVENT_DRIVEN, starts, i, t, n, cfg, threads)
     f0 = np.asarray(f(out["x"][0], out["regime"][0]), dtype=float)
     ab0 = out["aborted"][0]
     gaps = []
@@ -645,8 +602,8 @@ def truncation_exit_bound_check(model: ModelSpec, x0, i0: int, K: int, t: float,
     """Markov-type exit bound: empirical ``P(tau_K <= t)`` against the
     second-moment envelope divided by K (position-free rate certificate).
     ``margin = rhs - (p_hat + 3 se)``."""
-    out = _stacked_event_run(model, [x0], i0, t, n, cfg, threads,
-                             trunc_level=float(K))
+    out = _stacked_run(model, EVENT_DRIVEN, [x0], i0, t, n, cfg, threads,
+                       trunc_level=float(K))
     hit = out["tau_k"][0] <= t
     p_hat = float(hit.mean())
     se = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n)

@@ -158,8 +158,10 @@ def apply_diffusion(sig, dw):
     sig = np.asarray(sig, dtype=float)
     if sig.ndim == 0:
         return float(sig) * dw
+    # einsum sums each output entry on its own, so a row's result does not
+    # depend on how many rows share the call (a BLAS matmul's may)
     if sig.ndim == 2:
-        return dw @ sig.T
+        return np.einsum("ij,...j->...i", sig, dw)
     return np.einsum("mij,mj->mi", sig, dw)
 
 

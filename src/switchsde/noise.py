@@ -38,11 +38,11 @@ _MASK = (1 << 64) - 1
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    # stafford mix13 finalizer, bijective on uint64 (wraparound intended)
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-        return z ^ (z >> np.uint64(31))
+    # stafford mix13 finalizer, bijective on uint64; the wraparound is
+    # intended, so callers run it with overflow warnings off
+    z = (z ^ (z >> np.uint64(30))) * _M1
+    z = (z ^ (z >> np.uint64(27))) * _M2
+    return z ^ (z >> np.uint64(31))
 
 
 # Rational approximation of the standard normal quantile (Acklam's
@@ -122,7 +122,8 @@ class NoiseStream:
         self.salt = int(salt)
         base = (self.seed ^ (self.salt * 0x9E3779B97F4A7C15)) & _MASK
         base = (base + 0x632BE59BD9B4E019) & _MASK
-        self._key = _mix64(np.asarray(base, dtype=np.uint64))
+        with np.errstate(over="ignore"):
+            self._key = _mix64(np.asarray(base, dtype=np.uint64))
 
     def replica_keys(self, replica) -> np.ndarray:
         """Pre-mixed per-replica keys for use with the ``keyed_*`` functions."""

@@ -221,6 +221,8 @@ def smooth_cutoff(r, lo: float):
     ``f(1-s) / (f(s) + f(1-s))`` with ``f(u) = exp(-1/u)``.
     """
     r = np.asarray(r, dtype=float)
+    if (r <= lo).all():
+        return np.ones(r.shape) if r.ndim else 1.0  # a / (a + 0), exactly
     s = np.clip(r - lo, 0.0, 1.0)
     a = _smooth_step_raw(1.0 - s)
     b = _smooth_step_raw(s)

@@ -203,18 +203,20 @@ def test_assumption_gate_exit_code(tmp_path):
 
 
 def test_blowup_exit_code(tmp_path):
-    cfg = {
-        "model": {"table": {"dim": 1, "beta": [-1e9], "a": [0.0], "s": [0.0],
-                            "rates": [[0.0]]}},
-        "sim": {"T": 1.0, "dt": 0.01, "seed": 1, "scheme":
-                "event_driven_exact", "replicas": 10},
-        "task": {"x0": [1.0], "i0": 1},
-        "output": {"dir": str(tmp_path / "b")},
-    }
     import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert run("simulate", write_config(tmp_path, cfg)) == 4
+    for scheme in ("event_driven_exact", "frozen_rate"):
+        cfg = {
+            "model": {"table": {"dim": 1, "beta": [-1e9], "a": [0.0],
+                                "s": [0.0], "rates": [[0.0]]}},
+            "sim": {"T": 1.0, "dt": 0.01, "seed": 1, "scheme": scheme,
+                    "replicas": 10},
+            "task": {"x0": [1.0], "i0": 1},
+            "output": {"dir": str(tmp_path / scheme)},
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run("simulate", write_config(tmp_path, cfg,
+                                                f"{scheme}.json")) == 4
 
 
 def test_main_returns_exit_code(tmp_path):

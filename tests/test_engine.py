@@ -5,42 +5,59 @@ import numpy as np
 import pytest
 
 import switchsde as s
-from switchsde.engine import run_chain, run_event_driven
-from switchsde.noise import NoiseStream
+from switchsde.engine import (euler_step, run_chain, run_event_driven,
+                              run_frozen)
+from switchsde.noise import LANE_EULER, LANE_JUMP, NoiseStream
 
 
 def cfg(T=1.0, dt=0.01, scheme=s.FROZEN_RATE, seed=101, K=None):
     return s.SimConfig(horizon=T, dt=dt, truncation=K, seed=seed, scheme=scheme)
 
 
-# --- step_euler ---------------------------------------------------------------
+# --- the shared Euler kernel -----------------------------------------------------
 
-def test_step_euler_deterministic_drift(ou_model):
-    m = s.linear_switching_model(dim=1, beta=(1.0,), a=(0.0,), s=(0.0,),
-                                 rates=np.zeros((1, 1)))
-    out = s.step_euler(m, 0.0, [1.0], 1, 0.1, [0.0])
-    assert out[0] == pytest.approx(0.9)
+def test_step_euler_deterministic_drift():
+    # one call advances rows in different regimes through their own drifts
+    m = s.linear_switching_model(dim=1, beta=(1.0, 2.0), a=(0.0, 0.0),
+                                 s=(0.0, 0.0), rates=np.zeros((2, 2)))
+    out = euler_step(m, 0.0, np.ones((3, 1)), np.array([1, 2, 1]), 0.1,
+                     np.zeros((3, 1)))
+    assert out[:, 0] == pytest.approx([0.9, 0.8, 0.9])
 
 
 def test_step_euler_pure_noise():
     m = s.linear_switching_model(dim=2, beta=(0.0,), a=(0.0,), s=(1.0,),
                                  rates=np.zeros((1, 1)))
-    dw = np.array([0.3, -0.2])
-    out = s.step_euler(m, 0.0, [1.0, 1.0], 1, 0.05, dw)
-    assert np.allclose(out, [1.3, 0.8])
+    h = np.array([0.05, 0.2])
+    xi = np.array([[0.3, -0.2], [1.0, 0.5]]) / np.sqrt(h)[:, None]
+    out = euler_step(m, 0.0, np.ones((2, 2)), np.array([1, 1]), h, xi)
+    assert np.allclose(out, [[1.3, 0.8], [2.0, 1.5]])
 
 
 def test_step_euler_blowup_carries_state():
-    m = s.ModelSpec(dim=1, drift=lambda t, x, i: np.full_like(x, np.inf),
-                    diffusion=lambda t, x, i: 0.0,
-                    q=s.QMatrixSpec(rate=lambda x, i, j: 0.0, kappa=1),
+    # regime 2's drift is infinite, regime 1's is not; no switching
+    def drift(t, x, i):
+        x = np.asarray(x, dtype=float)
+        return np.full_like(x, np.inf) if i == 2 else -x
+    m = s.ModelSpec(dim=1, drift=drift, diffusion=lambda t, x, i: 0.0,
+                    q=s.QMatrixSpec(rate=lambda x, i, j: 0.0, kappa=1,
+                                    n_regimes=2),
                     growth_c=lambda t: 1.0, dissipativity_c=lambda t, i: 1.0,
                     diffusion_mod_c=lambda t, i: 1.0,
                     ellipticity_lambda=lambda t: 1.0)
+    out = euler_step(m, 0.5, np.full((3, 1), 2.0), np.array([1, 2, 1]), 0.1,
+                     np.zeros((3, 1)))
+    assert list(np.isfinite(out[:, 0])) == [True, False, True]
+    # the runner flags the dead rows; the recorded path raises at the death
+    for i0, dies in ((1, False), (2, True)):
+        res = run_frozen(m, [2.0], i0, 0.5, 0.1, NoiseStream(3),
+                         np.arange(4, dtype=np.uint64))
+        assert list(res["aborted"]) == [dies] * 4
     with pytest.raises(s.NumericalBlowupError) as exc:
-        s.step_euler(m, 0.5, [2.0], 1, 0.1, [0.0])
-    assert exc.value.t == 0.5
-    assert exc.value.regime == 1
+        s.simulate_path(m, [2.0], 2, cfg(T=0.5, dt=0.1))
+    assert exc.value.t == 0.1
+    assert exc.value.regime == 2
+    assert not np.isfinite(exc.value.x).all()
 
 
 def test_step_euler_strong_self_convergence():
@@ -48,21 +65,23 @@ def test_step_euler_strong_self_convergence():
     M = 64
     m = s.linear_switching_model(dim=M, beta=(1.0,), a=(0.0,), s=(1.0,),
                                  rates=np.zeros((1, 1)))
+    one = np.array([1])
     rng = np.random.default_rng(12)
     n_fine = 2 ** 10
     dt_fine = 1.0 / n_fine
     dW = rng.normal(0.0, math.sqrt(dt_fine), size=(n_fine, M))
-    x_ref = np.full(M, 1.0)
+    x_ref = np.full((1, M), 1.0)
     for k in range(n_fine):
-        x_ref = s.step_euler(m, k * dt_fine, x_ref, 1, dt_fine, dW[k])
+        x_ref = euler_step(m, k * dt_fine, x_ref, one, dt_fine,
+                           dW[k:k + 1] / math.sqrt(dt_fine))
     errs = []
     dts = [2.0 ** -p for p in (4, 5, 6, 7, 8)]
     for dt in dts:
         stride = int(round(dt * n_fine))
-        x = np.full(M, 1.0)
+        x = np.full((1, M), 1.0)
         for k in range(n_fine // stride):
-            inc = dW[k * stride:(k + 1) * stride].sum(axis=0)
-            x = s.step_euler(m, k * dt, x, 1, dt, inc)
+            inc = dW[k * stride:(k + 1) * stride].sum(axis=0, keepdims=True)
+            x = euler_step(m, k * dt, x, one, dt, inc / math.sqrt(dt))
         errs.append(math.sqrt(float(np.mean((x - x_ref) ** 2))))
     slope = np.polyfit(np.log2(dts), np.log2(errs), 1)[0]
     assert 0.7 < slope < 1.3
@@ -257,6 +276,131 @@ def test_duplicate_replica_ids_share_randomness(ou_model):
     assert out["regime"][0] == out["regime"][1]
 
 
+def _random_state_dependent_model(rng, d):
+    """Banded rates scaled by a bounded function of |x|; per-regime linear
+    drift and a scalar or matrix diffusion, through callbacks only."""
+    kappa = int(rng.integers(1, 3))
+    base = rng.uniform(0.5, 3.0, size=(6, 2 * kappa + 1))
+
+    def rate(x, i, j):
+        if i == j or abs(j - i) > kappa or not 1 <= j <= 6:
+            return 0.0
+        r = float(np.linalg.norm(x))
+        return float(base[i - 1, j - i + kappa] * (1.0 + r / (1.0 + r)))
+
+    q = s.QMatrixSpec(rate=rate, kappa=kappa, lipschitz_cq=3.0,
+                      linear_bound_alpha=12.0, n_regimes=6)
+    beta = rng.uniform(0.3, 2.0, size=6)
+    sig = rng.uniform(0.3, 1.2, size=(6, d, d))
+    return s.ModelSpec(dim=d, q=q,
+                       drift=lambda t, x, i: -beta[i - 1] * np.asarray(x, float),
+                       diffusion=lambda t, x, i: (float(sig[i - 1, 0, 0]) if i % 2
+                                                  else sig[i - 1]),
+                       growth_c=lambda t: 2.0, dissipativity_c=lambda t, i: 1.0,
+                       diffusion_mod_c=lambda t, i: 1.0,
+                       ellipticity_lambda=lambda t: 0.3, model_id="sd_random")
+
+
+def _frozen_reference(model, x0, i0, T, dt, stream, replica, K):
+    """The frozen-rate scheme for one replica, one scalar step at a time
+    (the loop ``run_frozen`` replaced): clock at jump index 2g, mark at
+    2g + 1, Euler draws at 2dg + c before a switch and 2dg + d + c after it.
+    Returns the final state, eta, tau_K and the maxima of |X| and regime."""
+    d = model.dim
+    x, i = np.array(x0, dtype=float), int(i0)
+    norm = lambda v: float(np.sqrt(np.add.reduce(v * v)))
+    eta, tau = math.inf, 0.0 if norm(x) + i > K else math.inf
+    xmax, imax = norm(x), i
+
+    def euler(t, x, i, h, base):
+        xi = stream.normal(replica, LANE_EULER,
+                           np.arange(base, base + d, dtype=np.uint64))
+        b = np.asarray(model.drift(t, x, i), dtype=float)
+        return x + b * h + s.apply_diffusion(model.diffusion(t, x, i),
+                                             math.sqrt(h) * xi)
+
+    def seen(t, x, i):
+        nonlocal tau, xmax, imax
+        xmax, imax = max(xmax, norm(x)), max(imax, i)
+        if math.isinf(tau) and norm(x) + i > K:
+            tau = t
+
+    for g in range(s.SimConfig(horizon=T, dt=dt).n_steps()):
+        t0 = g * dt
+        t1 = min(T, t0 + dt)
+        qi = model.q.total_rate(x, i)
+        E = float(stream.exponential(replica, LANE_JUMP, 2 * g))
+        s_rel = E / qi if qi > 0 else math.inf
+        x = euler(t0, x, i, min(s_rel, t1 - t0), 2 * d * g)
+        if s_rel < t1 - t0:
+            sw = t0 + s_rel
+            u = float(stream.uniform(replica, LANE_JUMP, 2 * g + 1))
+            j = int(s.row_layout(model.q, x, i).destination(u))
+            if j != i and math.isinf(eta):
+                eta = sw
+            i = j
+            seen(sw, x, i)
+            x = euler(sw, x, i, t1 - sw, 2 * d * g + d)
+        seen(t1, x, i)
+    return x, i, eta, tau, xmax, imax
+
+
+@pytest.mark.filterwarnings("ignore::switchsde.errors.StiffSwitchingWarning")
+def test_frozen_batch_rows_match_singleton_paths():
+    rng = np.random.default_rng(41)
+    reps = np.array([3, 8, 21, 8, 0], dtype=np.uint64)
+    for trial in range(6):
+        d = 1 + trial % 3
+        m = _random_state_dependent_model(rng, d)
+        x0 = rng.uniform(-1.0, 1.0, d)
+        K = 2.5 + trial % 2
+        c = cfg(T=0.6, dt=0.01, seed=60 + trial, K=K)
+        out = run_frozen(m, x0, 1 + trial % 3, c.horizon, c.dt,
+                         NoiseStream(c.seed), reps, trunc_level=K,
+                         track_xmax=True)
+        assert not out["aborted"].any()
+        for k, rep in enumerate(reps):
+            tr = s.simulate_path(m, x0, 1 + trial % 3, c, replica=int(rep))
+            assert np.array_equal(out["x"][k], tr.x[-1])
+            assert out["regime"][k] == tr.regime[-1]
+            assert out["eta"][k] == tr.eta
+            assert out["tau_k"][k] == tr.tau_k
+            assert out["regime_max"][k] == tr.regime.max()
+            assert out["xnorm_max"][k] == np.linalg.norm(tr.x, axis=1).max()
+            x, i, eta, tau, xmax, imax = _frozen_reference(
+                m, x0, 1 + trial % 3, c.horizon, c.dt, NoiseStream(c.seed),
+                int(rep), K)
+            assert np.array_equal(out["x"][k], x) and out["regime"][k] == i
+            assert (out["eta"][k], out["tau_k"][k]) == (eta, tau)
+            assert (out["xnorm_max"][k], out["regime_max"][k]) == (xmax, imax)
+        # duplicated replica ids share every draw
+        assert np.array_equal(out["x"][1], out["x"][3])
+        assert out["eta"][1] == out["eta"][3]
+
+
+@pytest.mark.filterwarnings("ignore::switchsde.errors.StiffSwitchingWarning")
+def test_frozen_switch_restarts_in_new_regime():
+    # regime 1 holds still, regime 2 moves at unit speed and never leaves:
+    # the part of the switching step after the switch already moves
+    q = s.QMatrixSpec(rate=lambda x, i, j: 3.0 if (i, j) == (1, 2) else 0.0,
+                      kappa=1, n_regimes=2)
+    m = s.ModelSpec(dim=1, q=q,
+                    drift=lambda t, x, i: np.full_like(np.asarray(x, float),
+                                                       float(i == 2)),
+                    diffusion=lambda t, x, i: 0.0, growth_c=lambda t: 1.0,
+                    dissipativity_c=lambda t, i: 1.0,
+                    diffusion_mod_c=lambda t, i: 1.0,
+                    ellipticity_lambda=lambda t: 1.0)
+    switched = 0
+    for rep in range(10):
+        tr = s.simulate_path(m, [0.0], 1, cfg(T=1.0, dt=0.1, seed=4),
+                             replica=rep)
+        if math.isfinite(tr.eta):
+            switched += 1
+            assert tr.x[-1, 0] == pytest.approx(1.0 - tr.eta, abs=1e-12)
+    assert switched >= 5
+
+
 # --- guards ------------------------------------------------------------------------
 
 def test_event_driven_needs_state_independent(scalar_rate_q):
@@ -354,5 +498,8 @@ def test_frozen_path_blowup_raises():
                     growth_c=lambda t: 1.0, dissipativity_c=lambda t, i: 1.0,
                     diffusion_mod_c=lambda t, i: 1.0,
                     ellipticity_lambda=lambda t: 1.0)
-    with pytest.raises(s.NumericalBlowupError):
+    with pytest.raises(s.NumericalBlowupError) as exc:
         s.simulate_path(m, [1.0], 1, cfg(T=0.5, dt=0.1))
+    # x = 1e307 after the first step; the second step's drift overflows
+    assert exc.value.t == 0.2
+    assert exc.value.regime == 1

@@ -207,6 +207,78 @@ def test_frozen_rate_agrees_with_event_driven(ou_model):
     assert abs(ef.mean - ee.mean) <= tol
 
 
+def _cubic_escape_model():
+    """Regime 1 is a stable OU; regime 2 has drift 3 x^3, whose Euler steps
+    escape to infinity from moderate |x|. Switching 1 -> 2 speeds up with
+    |x|, so only some replicas blow up by T = 1."""
+    def rate(x, i, j):
+        if (i, j) == (1, 2):
+            return 0.5 * (1.0 + math.tanh(float(np.linalg.norm(x))))
+        return 0.5 if (i, j) == (2, 1) else 0.0
+    q = s.QMatrixSpec(rate=rate, kappa=1, lipschitz_cq=0.5,
+                      linear_bound_alpha=1.0, n_regimes=2)
+
+    def drift(t, x, i):
+        x = np.asarray(x, dtype=float)
+        return -x if i == 1 else 3.0 * x ** 3
+    return s.ModelSpec(dim=1, drift=drift, diffusion=lambda t, x, i: 1.0, q=q,
+                       growth_c=lambda t: 1.0, dissipativity_c=lambda t, i: 1.0,
+                       diffusion_mod_c=lambda t, i: 1.0,
+                       ellipticity_lambda=lambda t: 1.0, model_id="cubic")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_frozen_semigroup_counts_blown_up_replicas():
+    m = _cubic_escape_model()
+    c = s.SimConfig(horizon=1.0, dt=0.02, seed=77, scheme=s.FROZEN_RATE)
+    n = 120
+    # finite even where X is not, so only the aborted mask can drop a row
+    f = lambda X, lam: np.nan_to_num(np.tanh(X[:, 0]))
+    est = s.semigroup_estimate(m, f, 1.0, [1.0], 1, n, c)
+    etas = []
+    for rep in range(n):
+        try:
+            etas.append(s.simulate_path(m, [1.0], 1, c, replica=rep).eta)
+        except s.NumericalBlowupError:
+            etas.append(None)
+    raised = etas.count(None)
+    assert 0 < raised < n
+    assert est.n_aborted == raised
+    # the holding check scores a blown-up replica as "no switch"
+    for rep in s.holding_time_check(m, [1.0], 1, 2, (0.3, 1.0), n, c):
+        t = rep.params["t"]
+        held = sum(e is None or e >= t for e in etas)
+        assert rep.lhs.mean == held / n
+
+
+@pytest.mark.filterwarnings("ignore::switchsde.errors.StiffSwitchingWarning")
+def test_frozen_estimators_identical_across_threads(monkeypatch):
+    # small batches, so the two threads share the replicas between them
+    monkeypatch.setattr(s.estimators, "BATCH_REPLICAS", 64)
+    m = s.zoo("birth_death_switch")
+    rate_q = s.QMatrixSpec(
+        rate=lambda x, i, j: m.q.rate(x, i, j) * (1.0 + math.tanh(abs(float(x[0])))),
+        kappa=1, lipschitz_cq=2.0, linear_bound_alpha=4.0, n_regimes=None)
+    sdm = s.ModelSpec(dim=1, drift=m.drift, diffusion=m.diffusion, q=rate_q,
+                      growth_c=m.growth_c, dissipativity_c=m.dissipativity_c,
+                      diffusion_mod_c=m.diffusion_mod_c,
+                      ellipticity_lambda=m.ellipticity_lambda, model_id="sd_bd")
+    c = s.SimConfig(horizon=0.3, dt=0.01, seed=5, scheme=s.FROZEN_RATE)
+    f = lambda X, lam: np.cos(X[:, 0]) * lam
+    n = 200
+    vals = []
+    for rep in range(n):
+        tr = s.simulate_path(sdm, [0.4], 2, c, replica=rep)
+        vals.append(f(tr.x[-1:], tr.regime[-1:])[0])
+    by_path = mc_from_values(np.array(vals))
+    for threads in (1, 2):
+        assert s.semigroup_estimate(sdm, f, 0.3, [0.4], 2, n, c,
+                                    threads=threads) == by_path
+    reps = [s.moment_bound_check(sdm, [0.4], 2, 0.3, n, c, threads=t)
+            for t in (1, 2)]
+    assert reps[0] == reps[1]
+
+
 # --- oracle comparisons ---------------------------------------------------------------
 
 def test_chain_marginal_check_small(ou_model):
