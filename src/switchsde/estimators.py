@@ -284,12 +284,15 @@ def holding_time_check(model: ModelSpec, x, k: int, K: int,
     if k > K:
         raise ValueError(f"need k <= K, got k={k} > K={K}")
     horizon = float(max(t_grid))
+    n_aborted = 0
     if model.q.state_independent:
         eta = _chain_etas(model, k, horizon, n, cfg, threads)
     else:
         out = _stacked_run(model, FROZEN_RATE, [x], k, horizon, n, cfg, threads)
-        # an aborted replica is scored as "no switch"
-        eta = np.where(out["aborted"][0], np.inf, out["eta"][0])
+        aborted = out["aborted"][0]
+        n_aborted = int(aborted.sum())
+        # aborted before its first switch: not held at any t > 0 (conservative)
+        eta = np.where(aborted & np.isinf(out["eta"][0]), 0.0, out["eta"][0])
     reports = []
     for t in t_grid:
         cnt = int(np.sum(eta >= t))
@@ -298,7 +301,8 @@ def holding_time_check(model: ModelSpec, x, k: int, K: int,
         # where survival is almost sure and the floor equals one exactly)
         wl = 1.0 if cnt == n else wilson_lower(cnt, n, 3.0)
         floor = holding_probability_floor(model, k, K, t)
-        lhs = McEstimate(p_hat, math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n), n)
+        lhs = McEstimate(p_hat, math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n), n,
+                         n_aborted)
         reports.append(_bound_report("holding", lhs, floor, wl - floor,
                                      model=model.model_id, k=k, K=K, t=float(t),
                                      wilson_lower=wl, n=n))

@@ -255,6 +255,16 @@ def _ball_sample(rng, n, d, radius):
     return v * r
 
 
+# the conditions check_assumptions reports, in report order
+_CONDITIONS = (
+    "band_structure", "rate_lipschitz", "state_independent_rates",
+    "rate_linear_growth", "rate_regime_linear", "coefficient_growth",
+    "one_sided_dissipativity", "diffusion_modulus", "modulus_nonincreasing",
+    "uniform_ellipticity", "bounded_at_origin",
+    "dissipativity_uniform_in_regime", "gamma_domination")
+_ALL_CHECKS = frozenset(_CONDITIONS)
+
+
 def check_assumptions(m: ModelSpec, plan: SamplingPlan | None = None) -> AssumptionReport:
     """Probe every regularity condition on sampled grids; report, never raise.
 
@@ -287,12 +297,7 @@ def check_assumptions(m: ModelSpec, plan: SamplingPlan | None = None) -> Assumpt
     Xr = _ball_sample(rng, plan.n_rate_pairs, d, plan.radius)
     Yr = _ball_sample(rng, plan.n_rate_pairs, d, plan.radius)
 
-    accs = {name: _Acc(name) for name in (
-        "band_structure", "rate_lipschitz", "state_independent_rates",
-        "rate_linear_growth", "rate_regime_linear", "coefficient_growth",
-        "one_sided_dissipativity", "diffusion_modulus", "modulus_nonincreasing",
-        "uniform_ellipticity", "bounded_at_origin",
-        "dissipativity_uniform_in_regime", "gamma_domination")}
+    accs = {name: _Acc(name) for name in _CONDITIONS}
 
     # -- rate-callback conditions (scalar callback, small sample) --
     band_probe = Xr[: min(16, len(Xr))]
@@ -416,14 +421,6 @@ def _matrix_q(rates: np.ndarray) -> QMatrixSpec:
     return QMatrixSpec(rate=rate, kappa=kappa, lipschitz_cq=0.0,
                        linear_bound_alpha=alpha, linear_bound_beta=0.0,
                        state_independent=True, n_regimes=n)
-
-
-_ALL_CHECKS = frozenset((
-    "band_structure", "rate_lipschitz", "state_independent_rates",
-    "rate_linear_growth", "rate_regime_linear", "coefficient_growth",
-    "one_sided_dissipativity", "diffusion_modulus", "modulus_nonincreasing",
-    "uniform_ellipticity", "bounded_at_origin",
-    "dissipativity_uniform_in_regime", "gamma_domination"))
 
 
 def linear_switching_model(*, dim=1, beta=(1.0, 2.0), a=(0.0, 0.0), s=(1.0, 1.0),

@@ -17,13 +17,15 @@ randomness for one purpose stay aligned on the others:
 The generator itself is a stateless splitmix-style hash (three rounds of
 the 64-bit finalizer with odd-constant keying between rounds), which is the
 standard construction for counter-based Monte Carlo streams. Uniforms are
-taken from the top 53 bits, offset to the open interval (0, 1); normals go
-through the inverse normal CDF.
+taken from the top 53 bits, offset by half a step and clamped below 1, so
+they lie in the open interval (0, 1); normals are ``scipy.special.ndtri`` of
+the uniform and exponentials are ``-log`` of it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import ndtri
 
 LANE_EULER = 0
 LANE_JUMP = 1
@@ -35,6 +37,8 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _KEY2 = np.uint64(0xD6E8FEB86659FD93)
 _MASK = (1 << 64) - 1
+# the largest double below 1: all-ones top bits plus the half-step round to 1.0
+_U_MAX = np.nextafter(1.0, 0.0)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -43,47 +47,6 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * _M1
     z = (z ^ (z >> np.uint64(27))) * _M2
     return z ^ (z >> np.uint64(31))
-
-
-# Rational approximation of the standard normal quantile (Acklam's
-# coefficients; relative error below 1.2e-9, far under Monte Carlo noise).
-# The quantile transform dominates the integrator's inner loop, which is why
-# this lives here instead of a scipy call; the scipy function remains the
-# accuracy oracle in the tests.
-_PA = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-       1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_PB = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-       6.680131188771972e+01, -1.328068155288572e+01)
-_PC = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-       -2.549732539343734e+00, 4.374664141464963e+00, 2.938163982698783e+00)
-_PD = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-       3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _lower_tail_quantile(p):
-    # yields the (negative) quantile for p < _P_LOW directly
-    q = np.sqrt(-2.0 * np.log(p))
-    num = ((((_PC[0] * q + _PC[1]) * q + _PC[2]) * q + _PC[3]) * q + _PC[4]) * q + _PC[5]
-    den = (((_PD[0] * q + _PD[1]) * q + _PD[2]) * q + _PD[3]) * q + 1.0
-    return num / den
-
-
-def inverse_normal_cdf(u):
-    """Standard normal quantile of ``u`` in (0, 1), vectorized."""
-    u = np.asarray(u, dtype=float)
-    q = u - 0.5
-    r = q * q
-    num = ((((_PA[0] * r + _PA[1]) * r + _PA[2]) * r + _PA[3]) * r + _PA[4]) * r + _PA[5]
-    den = ((((_PB[0] * r + _PB[1]) * r + _PB[2]) * r + _PB[3]) * r + _PB[4]) * r + 1.0
-    out = q * (num / den)
-    lo = np.flatnonzero(u.ravel() < _P_LOW)
-    if lo.size:
-        out.ravel()[lo] = _lower_tail_quantile(u.ravel()[lo])
-    hi = np.flatnonzero(u.ravel() > 1.0 - _P_LOW)
-    if hi.size:
-        out.ravel()[hi] = -_lower_tail_quantile(1.0 - u.ravel()[hi])
-    return out if out.ndim else float(out)
 
 
 def keyed_bits(keys, lane: int, index) -> np.ndarray:
@@ -96,12 +59,14 @@ def keyed_bits(keys, lane: int, index) -> np.ndarray:
 
 
 def keyed_uniform(keys, lane: int, index) -> np.ndarray:
+    """Uniform on the open interval (0, 1)."""
     bits = keyed_bits(keys, lane, index)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    return np.minimum(u, _U_MAX)
 
 
 def keyed_normal(keys, lane: int, index) -> np.ndarray:
-    return inverse_normal_cdf(keyed_uniform(keys, lane, index))
+    return ndtri(keyed_uniform(keys, lane, index))
 
 
 def keyed_exponential(keys, lane: int, index) -> np.ndarray:
@@ -136,7 +101,7 @@ class NoiseStream:
         return keyed_uniform(self.replica_keys(replica), lane, index)
 
     def normal(self, replica, lane, index) -> np.ndarray:
-        return inverse_normal_cdf(self.uniform(replica, lane, index))
+        return ndtri(self.uniform(replica, lane, index))
 
     def exponential(self, replica, lane, index) -> np.ndarray:
         """Standard exponential (rate 1)."""

@@ -235,20 +235,36 @@ def test_frozen_semigroup_counts_blown_up_replicas():
     # finite even where X is not, so only the aborted mask can drop a row
     f = lambda X, lam: np.nan_to_num(np.tanh(X[:, 0]))
     est = s.semigroup_estimate(m, f, 1.0, [1.0], 1, n, c)
-    etas = []
+    raised, etas = 0, []
     for rep in range(n):
         try:
-            etas.append(s.simulate_path(m, [1.0], 1, c, replica=rep).eta)
+            s.simulate_path(m, [1.0], 1, c, replica=rep)
         except s.NumericalBlowupError:
-            etas.append(None)
-    raised = etas.count(None)
+            raised += 1
+        # the first switch time, read off the recorded log, blown up or not
+        out = s.run_frozen(m, np.array([1.0]), 1, 1.0, c.dt, s.NoiseStream(c.seed),
+                           np.array([rep], dtype=np.uint64), record=True)
+        etas.append(next((r[0] for r in out["log"] if r[2] != 1), math.inf))
     assert 0 < raised < n
     assert est.n_aborted == raised
-    # the holding check scores a blown-up replica as "no switch"
+    # every blow-up comes after a switch into the cubic regime, so the holding
+    # check scores the blown-up replicas by their first switch
     for rep in s.holding_time_check(m, [1.0], 1, 2, (0.3, 1.0), n, c):
         t = rep.params["t"]
-        held = sum(e is None or e >= t for e in etas)
-        assert rep.lhs.mean == held / n
+        assert rep.lhs.mean == sum(e >= t for e in etas) / n
+        assert rep.lhs.n_aborted == raised
+
+
+def test_holding_check_scores_aborted_before_switch_as_not_held(monkeypatch):
+    m = _cubic_escape_model()
+    c = s.SimConfig(horizon=1.0, dt=0.02, seed=77, scheme=s.FROZEN_RATE)
+    # replicas: held, switched at 0.5, aborted unswitched, aborted after a switch
+    fake = {"eta": np.array([[np.inf, 0.5, np.inf, 0.8]]),
+            "aborted": np.array([[False, False, True, True]])}
+    monkeypatch.setattr(s.estimators, "_stacked_run", lambda *a, **k: fake)
+    reps = s.holding_time_check(m, [1.0], 1, 2, (0.0, 0.25, 0.6, 1.0), 4, c)
+    assert [r.lhs.mean for r in reps] == [1.0, 0.75, 0.5, 0.25]
+    assert all(r.lhs.n_aborted == 2 for r in reps)
 
 
 @pytest.mark.filterwarnings("ignore::switchsde.errors.StiffSwitchingWarning")

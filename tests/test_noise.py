@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from switchsde import noise
 from switchsde.noise import (LANE_EULER, LANE_JUMP, NoiseStream,
-                             inverse_normal_cdf, keyed_normal, keyed_uniform)
+                             keyed_exponential, keyed_normal, keyed_uniform)
 
 
 def test_deterministic_across_instances():
@@ -65,11 +66,60 @@ def test_normal_and_exponential_moments():
     assert e.min() > 0.0
 
 
-def test_inverse_normal_cdf_matches_scipy():
-    u = np.concatenate([np.linspace(1e-14, 1 - 1e-14, 100_001),
-                        [1e-300, 1 - 1e-16, 0.5, 0.02425, 0.97575]])
-    err = np.max(np.abs(inverse_normal_cdf(u) - ndtri(u)))
-    assert err < 1e-7
+@pytest.mark.parametrize("replica, index", [
+    (5, 17),
+    (np.arange(300, dtype=np.uint64), np.uint64(2)),
+    (np.arange(40, dtype=np.uint64)[:, None], np.arange(3, dtype=np.uint64)),
+])
+def test_normals_are_ndtri_of_uniforms(replica, index):
+    st = NoiseStream(13, salt=2)
+    keys = st.replica_keys(replica)
+    for lane in (LANE_EULER, LANE_JUMP):
+        z = ndtri(keyed_uniform(keys, lane, index))
+        assert np.array_equal(keyed_normal(keys, lane, index), z)
+        assert np.array_equal(st.normal(replica, lane, index), z)
+
+
+# (seed, salt, replica, lane, index) -> uniform, normal, exponential. A change
+# to the hash moves the uniforms; a quantile off by 1e-10 moves the normals.
+GOLDEN = [
+    ((0, 0, 670790, LANE_EULER, 8050),
+     0.36778088132509584, -0.33773650482526335, 1.000267949334556),
+    ((1, 3, 22653, LANE_EULER, 8079),
+     0.007890086169256516, -2.4139605149566563, 4.842148222858704),
+    ((7, 0, 468851, LANE_EULER, 5153),
+     0.6190082249362805, 0.30287706533971864, 0.4796367189281763),
+    ((2 ** 63 - 1, 3, 630234, LANE_EULER, 2858),
+     0.875428627052321, 1.1524340738901313, 0.13304165307814667),
+    ((0, 3, 979523, LANE_JUMP, 539),
+     0.941864009350984, 1.570615526332517, 0.05989437857352408),
+    ((2024, 0, 277923, LANE_JUMP, 3833),
+     0.9685146369408639, 1.8593981339578405, 0.03199168324891096),
+    ((7, 3, 571184, LANE_JUMP, 4084),
+     0.6332981159116327, 0.3406012767207717, 0.45681401049712805),
+    ((2 ** 63 - 1, 0, 1015, LANE_JUMP, 487),
+     0.8604194060123065, 1.0822055836623714, 0.15033532720285545),
+]
+
+
+@pytest.mark.parametrize("address, u, z, e", GOLDEN,
+                         ids=[f"address{k}" for k in range(len(GOLDEN))])
+def test_golden_variates(address, u, z, e):
+    seed, salt, replica, lane, index = address
+    st = NoiseStream(seed, salt)
+    assert float(st.uniform(replica, lane, index)) == u
+    assert float(st.normal(replica, lane, index)) == pytest.approx(z, rel=1e-13)
+    assert float(st.exponential(replica, lane, index)) == pytest.approx(e, rel=1e-13)
+
+
+def test_all_ones_bits_stay_inside_the_open_interval(monkeypatch):
+    # the top 53 bits all set: the half-step offset alone would round to 1.0
+    monkeypatch.setattr(noise, "keyed_bits",
+                        lambda keys, lane, index: np.uint64(2 ** 64 - 1))
+    keys = NoiseStream(1).replica_keys(0)
+    assert keyed_uniform(keys, LANE_EULER, 0) < 1.0
+    assert np.isfinite(keyed_normal(keys, LANE_EULER, 0))
+    assert keyed_exponential(keys, LANE_JUMP, 0) > 0.0
 
 
 def test_scalar_inputs_give_floats():
