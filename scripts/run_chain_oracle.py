@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Empirical chain marginals against the uniformization oracle for the
+"""Empirical chain marginals against the matrix-exponential oracle for the
 built-in two-regime chain and a random banded ten-regime chain."""
 
 import argparse

@@ -17,7 +17,8 @@ from .estimators import (BoundReport, FirstJumpEstimate, GapEstimate,
                          second_moment_envelope, semigroup_estimate,
                          truncation_exit_bound_check,
                          truncation_identity_check, wilson_lower)
-from .markov import holding_probability, transition_matrix
+from .markov import (chain_generator_matrix, holding_probability,
+                     transition_matrix)
 from .models import (HARNACK_PREREQUISITES, AssumptionReport, ModelSpec,
                      SamplingPlan, U_CLASSES, UClassFn, apply_diffusion,
                      check_assumptions, linear_switching_model,
@@ -25,8 +26,7 @@ from .models import (HARNACK_PREREQUISITES, AssumptionReport, ModelSpec,
 from .noise import LANE_EULER, LANE_JUMP, NoiseStream
 from .qmatrix import (DominatingChainSpec, QMatrixSpec, RowLayout,
                       displacement_lp_bound, displacement_lp_distance,
-                      dominating_chain_generator, random_banded_q, row_layout,
-                      smooth_cutoff, truncate_q)
+                      random_banded_q, row_layout, smooth_cutoff, truncate_q)
 from .trajectory import JumpRecord, Trajectory, from_binary
 
 __version__ = "0.1.0"

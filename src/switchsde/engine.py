@@ -225,6 +225,14 @@ def _holding_times(E, totals):
     return np.divide(E, totals, out=np.full(len(E), np.inf), where=totals > 0)
 
 
+def first_switch_times(q: QMatrixSpec, i0: int, keys: np.ndarray) -> np.ndarray:
+    """First switching times ``E_0 / q_{i0}`` (jump-lane index 0) of the
+    replica ``keys`` under state-independent rates: both runners' first clock."""
+    total = q.total_rate(np.zeros(1), int(i0))
+    return _holding_times(keyed_exponential(keys, LANE_JUMP, np.uint64(0)),
+                          np.full(len(keys), total))
+
+
 def run_chain(q: QMatrixSpec, i0: int, T: float, stream: NoiseStream,
               replicas: np.ndarray, t_marks=()) -> dict:
     """Vectorized skeleton-only simulation of a state-independent chain.
@@ -248,8 +256,7 @@ def run_chain(q: QMatrixSpec, i0: int, T: float, stream: NoiseStream,
     marks = [float(tm) for tm in t_marks]
     lam_at = np.full((len(marks), n), int(i0), dtype=np.int64)
     unfilled = np.ones((len(marks), n), dtype=bool)
-    nxt = cur + _holding_times(keyed_exponential(keys, LANE_JUMP, np.uint64(0)),
-                               _regime_totals(layout, lam))
+    nxt = first_switch_times(q, i0, keys)
 
     while True:
         for mi, tm in enumerate(marks):
@@ -300,8 +307,7 @@ def run_event_driven(model: ModelSpec, x0, i0: int, T: float, dt: float,
     lincoef = model.linear_coeffs
     sub_ctr = np.zeros(n, dtype=np.uint64)
     jump_ctr = np.ones(n, dtype=np.uint64)
-    next_jump = _holding_times(keyed_exponential(keys, LANE_JUMP, np.uint64(0)),
-                               _regime_totals(layout, lam))
+    next_jump = first_switch_times(q, i0, keys)
 
     comps = np.arange(d, dtype=np.uint64)
     ud = np.uint64(d)

@@ -25,10 +25,11 @@ import numpy as np
 from scipy.integrate import quad
 
 from .engine import (EVENT_DRIVEN, FROZEN_RATE, DEFAULT_SEED, SimConfig,
-                     run_chain, run_event_driven, run_frozen, simulate_path,
-                     simulate_truncated)
+                     first_switch_times, run_chain, run_event_driven,
+                     run_frozen, simulate_path, simulate_truncated)
 from .errors import InvalidModelError, UnsupportedSchemeError
-from .markov import holding_probability, transition_matrix
+from .markov import (chain_generator_matrix, holding_probability,
+                     transition_matrix)
 from .models import (HARNACK_PREREQUISITES, ModelSpec, SamplingPlan,
                      check_assumptions)
 from .noise import NoiseStream
@@ -37,6 +38,7 @@ from .qmatrix import (DominatingChainSpec, as_point, displacement_lp_bound,
 
 BATCH_REPLICAS = 16384
 _SALT_FIRST_JUMP = 0x464A
+_HARNACK_F_FLOOR = 1e-6  # observables are clamped here before the log
 
 
 # --- estimate containers ------------------------------------------------------
@@ -157,17 +159,6 @@ def _stacked_run(model, scheme, starts, i0, T, n, cfg, threads, *, salt=0,
     return _run_batches(n, threads, kernel, axis=1)
 
 
-def _chain_etas(model, i, T, n, cfg, threads, salt=0):
-    stream = NoiseStream(cfg.seed, salt=salt)
-
-    def kernel(lo, hi):
-        reps = np.arange(lo, hi, dtype=np.uint64)
-        out = run_chain(model.q, i, T, stream, reps)
-        return {"eta": out["eta"]}
-
-    return _run_batches(n, threads, kernel)["eta"]
-
-
 # --- semigroup and first-jump estimators ---------------------------------------
 
 def semigroup_estimate(model: ModelSpec, f: Callable, t: float, x, i: int,
@@ -286,7 +277,8 @@ def holding_time_check(model: ModelSpec, x, k: int, K: int,
     horizon = float(max(t_grid))
     n_aborted = 0
     if model.q.state_independent:
-        eta = _chain_etas(model, k, horizon, n, cfg, threads)
+        keys = NoiseStream(cfg.seed).replica_keys(np.arange(n, dtype=np.uint64))
+        eta = first_switch_times(model.q, k, keys)
     else:
         out = _stacked_run(model, FROZEN_RATE, [x], k, horizon, n, cfg, threads)
         aborted = out["aborted"][0]
@@ -330,7 +322,7 @@ def harnack_cost_values(model: ModelSpec, lam_T: np.ndarray, T: float,
 
 def harnack_check(model: ModelSpec, f: Callable, x, y, i: int, T: float,
                   n: int, cfg: SimConfig, threads: int = 1,
-                  f_floor: float = 1e-6, verify: bool = True) -> BoundReport:
+                  verify: bool = True) -> BoundReport:
     """Check ``E[log f](from y) <= log E[f](from x) + transport cost``.
 
     Both sides run under common random numbers in one stacked batch; the
@@ -361,7 +353,7 @@ def harnack_check(model: ModelSpec, f: Callable, x, y, i: int, T: float,
     out = _stacked_run(model, EVENT_DRIVEN, [y, x], i, T, n, cfg, threads)
 
     def clamp(vals):
-        return np.maximum(np.asarray(vals, dtype=float), f_floor)
+        return np.maximum(np.asarray(vals, dtype=float), _HARNACK_F_FLOOR)
 
     fy = clamp(f(out["x"][0], out["regime"][0]))
     fx = clamp(f(out["x"][1], out["regime"][1]))
@@ -512,23 +504,6 @@ class MarginalCheck:
         return self.fraction_within >= threshold
 
 
-def chain_generator_matrix(q, size: Optional[int] = None) -> np.ndarray:
-    """Dense conservative generator of a finite state-independent spec."""
-    if not q.state_independent:
-        raise UnsupportedSchemeError("need state-independent rates")
-    n = size or q.n_regimes
-    if n is None:
-        raise ValueError("need a finite regime count")
-    zero = np.zeros(1)
-    G = np.zeros((n, n))
-    for i in range(1, n + 1):
-        for j in q.band(i):
-            if j <= n:
-                G[i - 1, j - 1] = float(q.rate(zero, i, j))
-        G[i - 1, i - 1] = -G[i - 1].sum()
-    return G
-
-
 def chain_marginal_check(model: ModelSpec, times: Sequence[float], n: int,
                          cfg: SimConfig, threads: int = 1,
                          starts: Optional[Sequence[int]] = None) -> MarginalCheck:
@@ -536,7 +511,7 @@ def chain_marginal_check(model: ModelSpec, times: Sequence[float], n: int,
 
     For every start regime and grid time, each entry of the empirical
     distribution must sit within 3 binomial standard errors of the
-    uniformization value.
+    ``exp(t Q)`` value.
     """
     q = model.q
     G = chain_generator_matrix(q)

@@ -1,36 +1,54 @@
-"""Finite-chain transition probabilities by uniformization.
+"""The regime chain layer: dense generators and their closed-form oracles.
 
-This is the closed-form oracle the Monte Carlo checks are compared against:
-``exp(t Q)`` computed as a Poisson-weighted sum of powers of the uniformized
-kernel ``M = I + Q / lam``. All powers of a (sub)stochastic matrix stay in
-[0, 1], so truncating the Poisson series at total tail mass ``tol`` bounds
-every entry error by ``tol`` -- no squaring tricks, no norm estimates.
+``chain_generator_matrix`` builds a state-independent spec's generator on a
+finite window; ``transition_matrix`` is ``exp(t Q)``, the oracle for the Monte
+Carlo chain marginals; ``holding_probability`` is the dominating chain's
+survival, the holding-time check's floor.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
-from scipy.special import gammaln
+from scipy.linalg import expm
 
-from .errors import InvalidModelError
+from .errors import InvalidModelError, UnsupportedSchemeError
 
-DEFAULT_DIM_CAP = 512
+DIM_CAP = 512
 
 
-def transition_matrix(generator, t: float, *, tol: float = 1e-12,
-                      dim_cap: int = DEFAULT_DIM_CAP) -> np.ndarray:
+def chain_generator_matrix(q, size: Optional[int] = None) -> np.ndarray:
+    """Dense conservative generator of a finite state-independent spec."""
+    if not q.state_independent:
+        raise UnsupportedSchemeError("need state-independent rates")
+    n = size or q.n_regimes
+    if n is None:
+        raise ValueError("need a finite regime count")
+    zero = np.zeros(1)
+    G = np.zeros((n, n))
+    for i in range(1, n + 1):
+        for j in q.band(i):
+            if j <= n:
+                G[i - 1, j - 1] = float(q.rate(zero, i, j))
+        G[i - 1, i - 1] = -G[i - 1].sum()
+    return G
+
+
+def transition_matrix(generator, t: float) -> np.ndarray:
     """Stochastic matrix ``exp(t * Q)`` for a conservative generator ``Q``.
 
-    Entries are accurate to ``tol`` absolutely; rows sum to 1 up to the
-    truncated Poisson tail. Raises on negative ``t``, on dimensions above
-    ``dim_cap`` and on structurally invalid generators.
+    Computed by ``scipy.linalg.expm`` (Al-Mohy & Higham scaling and
+    squaring), with rounding-level negative entries set to 0. Raises on
+    negative ``t``, on dimensions above ``DIM_CAP`` and on structurally
+    invalid generators.
     """
     Q = np.asarray(generator, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError(f"generator must be square, got shape {Q.shape}")
     n = Q.shape[0]
-    if n > dim_cap:
-        raise ValueError(f"generator dimension {n} exceeds cap {dim_cap}")
+    if n > DIM_CAP:
+        raise ValueError(f"generator dimension {n} exceeds cap {DIM_CAP}")
     if t < 0:
         raise ValueError("t must be nonnegative")
     if not np.all(np.isfinite(Q)):
@@ -45,29 +63,7 @@ def transition_matrix(generator, t: float, *, tol: float = 1e-12,
         k = int(np.argmax(np.abs(rows)))
         raise InvalidModelError(f"generator is not conservative: row {k + 1} "
                                 f"sums to {rows[k]:.3e}")
-
-    lam = float(np.max(-np.diag(Q)))
-    mu = lam * t
-    if mu == 0.0:
-        return np.eye(n)
-
-    M = np.eye(n) + Q / lam
-    np.clip(M, 0.0, None, out=M)
-
-    log_mu = np.log(mu)
-    out = np.zeros_like(M)
-    power = np.eye(n)
-    cum = 0.0
-    k = 0
-    k_cap = int(mu + 40.0 * np.sqrt(mu + 1.0) + 200)
-    while cum < 1.0 - tol and k <= k_cap:
-        w = np.exp(k * log_mu - mu - gammaln(k + 1))
-        if w > 0.0:
-            out += w * power
-        cum += w
-        power = power @ M
-        k += 1
-    return out
+    return np.maximum(expm(t * Q), 0.0)
 
 
 def holding_probability(spec, k: int, t) -> np.ndarray:

@@ -323,43 +323,31 @@ class DominatingChainSpec:
     def exit_rate(self, i: int) -> float:
         return (min(self.kappa, i - 1) + self.kappa) * self.alpha * self.K
 
-
-def dominating_chain_generator(spec: DominatingChainSpec, m: int) -> np.ndarray:
-    """Finite m x m generator of the dominating chain.
-
-    Rows with ``i + kappa <= m`` carry the exact off-diagonal pattern and the
-    formula diagonal ``-(min(kappa, i-1) + kappa) * alpha * K``. Rows within
-    ``kappa`` of the top boundary are missing up-jumps, so their diagonal is
-    clamped to minus the present off-diagonal sum; read only entries with
-    ``i <= m - kappa`` when the infinite chain is the object of interest.
-    """
-    if m < spec.kappa + 1:
-        raise ValueError("matrix size must be at least kappa + 1")
-    rate = spec.alpha * spec.K
-    G = np.zeros((m, m))
-    for i in range(1, m + 1):
-        for j in range(max(1, i - spec.kappa), min(m, i + spec.kappa) + 1):
-            if j != i:
-                G[i - 1, j - 1] = rate
-        G[i - 1, i - 1] = -G[i - 1].sum()
-    return G
+    @property
+    def q(self) -> QMatrixSpec:
+        """The chain as a state-independent rate spec on {1, 2, ...}."""
+        rate = self.alpha * self.K
+        return QMatrixSpec(rate=lambda x, i, j: rate, kappa=self.kappa,
+                           linear_bound_alpha=2 * self.kappa * rate,
+                           state_independent=True)
 
 
 # --- randomized banded specs for sweeps ------------------------------------
 
-def random_banded_q(rng: np.random.Generator, *, dim: int = 1, max_kappa: int = 3,
-                    max_regime: int = 24, rate_scale: float = 2.0) -> QMatrixSpec:
+def random_banded_q(rng: np.random.Generator, *, dim: int = 1,
+                    max_regime: int = 24) -> QMatrixSpec:
     """Random banded state-dependent spec with a Lipschitz constant that is
     certified by construction.
 
     Each rate is ``base_ij + amp_ij * (1 + sin(w_ij . x + theta_ij)) / 2``
-    with ``|w_ij| = 1``, so the rate is nonnegative and ``amp_ij / 2``-
-    Lipschitz; ``lipschitz_cq`` is the max amplitude over the table halved.
+    with ``base_ij, amp_ij ~ U[0, 2)`` and ``|w_ij| = 1``, so the rate is
+    nonnegative and ``amp_ij / 2``-Lipschitz; ``lipschitz_cq`` is the max
+    amplitude over the table halved. The band width is uniform on {1, 2, 3}.
     """
-    kappa = int(rng.integers(1, max_kappa + 1))
+    kappa = int(rng.integers(1, 4))
     n = max_regime + kappa
-    base = rng.uniform(0.0, rate_scale, size=(n + 1, n + 1))
-    amp = rng.uniform(0.0, rate_scale, size=(n + 1, n + 1))
+    base = rng.uniform(0.0, 2.0, size=(n + 1, n + 1))
+    amp = rng.uniform(0.0, 2.0, size=(n + 1, n + 1))
     theta = rng.uniform(0.0, 2 * np.pi, size=(n + 1, n + 1))
     w = rng.normal(size=(n + 1, n + 1, dim))
     w /= np.maximum(np.linalg.norm(w, axis=-1, keepdims=True), 1e-12)

@@ -3,7 +3,8 @@
 Every checker emits flat records with a common core -- checker name, model
 id, parameters, lhs, rhs, stderr, margin, pass flag -- plus the scenario's
 config hash and seed, so a report file is reproducible byte-for-byte from
-its config. Non-finite floats serialize as null (JSON has no inf/nan).
+its config. Bound records also carry ``n_aborted``, the replicas their
+estimate dropped. Non-finite floats serialize as null (JSON has no inf/nan).
 """
 
 from __future__ import annotations
@@ -49,9 +50,12 @@ def record(checker: str, model: str, params: dict, lhs, rhs, stderr, margin,
 
 
 def from_bound_report(rep, config_hash: str = "", seed=None) -> dict:
-    return record(rep.checker, rep.params.get("model", ""), rep.params,
-                  rep.lhs.mean, rep.rhs, rep.lhs.stderr, rep.margin,
-                  rep.passed, config_hash, seed)
+    """A ``BoundReport``'s record: the common core plus ``n_aborted``."""
+    rec = record(rep.checker, rep.params.get("model", ""), rep.params,
+                 rep.lhs.mean, rep.rhs, rep.lhs.stderr, rep.margin,
+                 rep.passed, config_hash, seed)
+    rec["n_aborted"] = int(rep.lhs.n_aborted)
+    return rec
 
 
 def write_jsonl(path, records) -> None:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import switchsde as s
-from switchsde.engine import (euler_step, run_chain, run_event_driven,
-                              run_frozen)
+from switchsde.engine import (euler_step, first_switch_times, run_chain,
+                              run_event_driven, run_frozen)
 from switchsde.noise import LANE_EULER, LANE_JUMP, NoiseStream
 
 
@@ -263,8 +263,13 @@ def test_chain_skeleton_matches_full_runner(ou_model):
     chain = run_chain(ou_model.q, 1, 0.9, NoiseStream(44), reps)
     full = run_event_driven(ou_model, np.zeros(1), 1, 0.9, 0.01,
                             NoiseStream(44), reps)
+    first = first_switch_times(ou_model.q, 1, NoiseStream(44).replica_keys(reps))
     assert np.array_equal(chain["regime"], full["regime"])
     assert np.array_equal(chain["eta"], full["eta"])
+    switched = np.isfinite(chain["eta"])
+    assert 0 < switched.sum() < len(reps)
+    assert np.array_equal(first[switched], chain["eta"][switched])
+    assert np.all(first[~switched] > 0.9)
 
 
 def test_duplicate_replica_ids_share_randomness(ou_model):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import switchsde as s
+from switchsde import reports
 from switchsde.estimators import mc_from_values, wilson_lower
 
 
@@ -265,6 +266,16 @@ def test_holding_check_scores_aborted_before_switch_as_not_held(monkeypatch):
     reps = s.holding_time_check(m, [1.0], 1, 2, (0.0, 0.25, 0.6, 1.0), 4, c)
     assert [r.lhs.mean for r in reps] == [1.0, 0.75, 0.5, 0.25]
     assert all(r.lhs.n_aborted == 2 for r in reps)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bound_records_carry_aborted_count(tmp_path):
+    m = _cubic_escape_model()
+    c = s.SimConfig(horizon=1.0, dt=0.02, seed=77, scheme=s.FROZEN_RATE)
+    reps = s.holding_time_check(m, [1.0], 1, 2, (0.3, 1.0), 120, c)
+    path = tmp_path / "holding.jsonl"
+    reports.write_jsonl(path, [reports.from_bound_report(r) for r in reps])
+    assert [r["n_aborted"] for r in reports.read_jsonl(path)] == [32, 32]
 
 
 @pytest.mark.filterwarnings("ignore::switchsde.errors.StiffSwitchingWarning")

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 import switchsde as s
 
@@ -43,16 +42,18 @@ def test_semigroup_property():
     assert np.max(np.abs(P_st - P_s @ P_t)) < 1e-8
 
 
-def test_matches_scipy_expm_at_large_intensity():
-    Q = two_state(200.0)
-    P = s.transition_matrix(Q, 2.0)
-    assert np.max(np.abs(P - expm(2.0 * Q))) < 1e-9
+def test_two_state_closed_form_at_large_intensity():
+    rate, t = 200.0, 2.0
+    P = s.transition_matrix(two_state(rate), t)
+    decay = math.exp(-2 * rate * t)
+    exact = np.array([[1 + decay, 1 - decay], [1 - decay, 1 + decay]]) / 2
+    assert np.max(np.abs(P - exact)) < 1e-9
 
 
 def test_dominating_chain_diagonal_log_limit():
     # interior regime: (log p(t,i,i))/t -> -2*kappa*alpha*K as t -> 0
     spec = s.DominatingChainSpec(K=2, alpha=1.0, kappa=1)
-    G = s.dominating_chain_generator(spec, 12)
+    G = s.chain_generator_matrix(spec.q, 12)
     t = 1e-4
     P = s.transition_matrix(G, t)
     i = 5

@@ -209,7 +209,7 @@ def test_smooth_cutoff_shape():
 
 def test_dominating_chain_rows():
     spec = s.DominatingChainSpec(K=2, alpha=1.0, kappa=1)
-    G = s.dominating_chain_generator(spec, 6)
+    G = s.chain_generator_matrix(spec.q, 6)
     assert G[0, 1] == 2.0 and G[0, 0] == -2.0          # left boundary
     assert G[2, 1] == 2.0 and G[2, 3] == 2.0 and G[2, 2] == -4.0
     assert np.allclose(G.sum(axis=1), 0.0)
@@ -218,10 +218,5 @@ def test_dominating_chain_rows():
 
 
 def test_dominating_chain_zero_alpha():
-    G = s.dominating_chain_generator(s.DominatingChainSpec(K=3, alpha=0.0, kappa=2), 5)
+    G = s.chain_generator_matrix(s.DominatingChainSpec(K=3, alpha=0.0, kappa=2).q, 5)
     assert np.all(G == 0.0)
-
-
-def test_dominating_chain_size_guard():
-    with pytest.raises(ValueError):
-        s.dominating_chain_generator(s.DominatingChainSpec(K=1, alpha=1.0, kappa=3), 3)
