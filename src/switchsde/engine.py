@@ -16,13 +16,18 @@ is the runner's recording mode at one replica (``simulate_path``,
 
 * ``event_driven_exact`` (``run_event_driven``) -- for state-independent
   rates only. The jump skeleton is simulated first by competing exponentials
-  (exact in law), the frozen-regime SDE is Euler-integrated on each
-  inter-jump segment, and switching times carry no discretization bias.
+  (exact in law), the frozen-regime SDE is integrated on each inter-jump
+  segment, and switching times carry no discretization bias. For models
+  with ``linear_coeffs`` each segment is an exact Ornstein-Uhlenbeck
+  transition (``ou_transition``), so the run has no time-step bias at all;
+  it steps on the ``dt`` grid only where a path functional reads it (a
+  recorded path, running maxima, a truncation level) and otherwise goes
+  from switch to switch, one normal per segment and coordinate.
 
-Both runners integrate through one regime-grouped Euler kernel over the model
-callbacks (``euler_step``; the event-driven runner adds a fast path for
-``linear_coeffs``). A runner reports rows whose state turned non-finite in
-its ``aborted`` mask; the recording mode raises ``NumericalBlowupError``.
+Every other step, in either runner, goes through one regime-grouped Euler
+kernel over the model callbacks (``euler_step``). A runner reports rows whose
+state turned non-finite in its ``aborted`` mask; the recording mode raises
+``NumericalBlowupError``.
 
 All randomness is counter-addressed per replica (see ``noise``): the same
 seed and replica id reproduce a path bit-for-bit regardless of batch size,
@@ -115,6 +120,24 @@ def euler_step(model: ModelSpec, t, X: np.ndarray, lam: np.ndarray, h,
         out[grp] = step(k, t[grp] if np.ndim(t) else t, X[grp],
                         h[grp] if np.ndim(h) else h, dw[grp])
     return out
+
+
+def ou_transition(X: np.ndarray, beta, a, s, h, xi: np.ndarray) -> np.ndarray:
+    """Exact transition over ``h`` of ``dX = (a - beta X) dt + s dW`` for the
+    rows of ``X`` (m, d), from standard normals ``xi`` (m, d).
+
+    ``beta``, ``a`` and ``s`` are per-row (m,) arrays, ``h`` a scalar or (m,):
+    mean ``e^{-beta h} X + a (1 - e^{-beta h}) / beta``, standard deviation
+    ``s sqrt((1 - e^{-2 beta h}) / (2 beta))``, and the limits ``a h`` and
+    ``s sqrt(h)`` at beta = 0. Any sign of beta and s = 0 are allowed.
+    """
+    e1 = np.expm1(-beta * h)  # e^{-beta h} - 1
+    nz = beta != 0
+    mean_f = np.where(nz, -e1 / np.where(nz, beta, 1.0), h)
+    # (1 - e^{-2 beta h}) / (2 beta) = mean_f (1 + e1 / 2), also at beta = 0
+    var_f = mean_f * (1.0 + 0.5 * e1)
+    return ((1.0 + e1)[:, None] * X + (a * mean_f)[:, None]
+            + (s * np.sqrt(var_f))[:, None] * xi)
 
 
 class _Rows:
@@ -293,6 +316,10 @@ def run_event_driven(model: ModelSpec, x0, i0: int, T: float, dt: float,
     across the duplicated rows. Non-finite states are not raised here: the
     replica's state turns NaN, keeps consuming its own draws untouched, and
     is reported in the ``aborted`` mask.
+
+    Segment normals sit on ``LANE_EULER`` at each row's substep counter
+    (times ``d``, plus the coordinate); rows on one skeleton therefore share
+    every draw, whether they step on the ``dt`` grid or switch to switch.
     """
     q = model.q
     if not q.state_independent:
@@ -313,43 +340,33 @@ def run_event_driven(model: ModelSpec, x0, i0: int, T: float, dt: float,
     ud = np.uint64(d)
     seg = np.zeros(n)
 
-    Xflat = X[:, 0] if d == 1 else None
     if lincoef is not None:
         # regime-wise coefficients cached full-width; jumps refresh their rows
         co_beta, co_a, co_s = (np.array(v, dtype=float, copy=True)
                                for v in lincoef(lam))
+    # an exact linear transition needs no grid unless a path functional reads it
+    grid = (T if lincoef is not None and not (record or track_xmax)
+            and trunc_level is None else dt)
 
-    def _euler(idx, t_of, h):
+    def _advance(idx, t_of, h):
         """Advance rows ``idx`` (index array or full slice) by ``h``."""
         kk = keys[idx]
         ctr = sub_ctr[idx]
-        if lincoef is not None and d == 1:
-            # flat fast path: counter stride is 1 in one dimension
-            xi = keyed_normal(kk, LANE_EULER, ctr)
-            xs = Xflat[idx]
-            sq = math.sqrt(h) if np.ndim(h) == 0 else np.sqrt(h)
-            Xflat[idx] = (xs + (co_a[idx] - co_beta[idx] * xs) * h
-                          + co_s[idx] * (sq * xi))
-            sub_ctr[idx] = ctr + np.uint64(1)
-            return
         xi = keyed_normal(kk[:, None], LANE_EULER, ctr[:, None] * ud + comps)
         if lincoef is None:
             X[idx] = euler_step(model, t_of, X[idx], lam[idx], h, xi)
         else:
-            xs = X[idx]
-            hcol, sq = ((h, math.sqrt(h)) if np.ndim(h) == 0
-                        else (h[:, None], np.sqrt(h)[:, None]))
-            X[idx] = (xs + (co_a[idx][:, None] - co_beta[idx][:, None] * xs)
-                      * hcol + co_s[idx][:, None] * (sq * xi))
+            X[idx] = ou_transition(X[idx], co_beta[idx], co_a[idx], co_s[idx],
+                                   h, xi)
         sub_ctr[idx] = ctr + np.uint64(1)
 
     full = slice(None)
-    for g in range(step_count(T, dt)):
-        t0 = g * dt
-        t1 = min(T, (g + 1) * dt)
+    for g in range(step_count(T, grid)):
+        t0 = g * grid
+        t1 = min(T, (g + 1) * grid)
         if next_jump.min() > t1:
             # no switch anywhere this step: one lockstep substep
-            _euler(full, t0, t1 - t0)
+            _advance(full, t0, t1 - t0)
             rows.observe(full, t1)
             rows.log_row(t1)
             continue
@@ -360,7 +377,7 @@ def run_event_driven(model: ModelSpec, x0, i0: int, T: float, dt: float,
             sel = np.flatnonzero(h > 0)
             if sel.size:
                 act = full if sel.size == n else sel
-                _euler(act, seg[act], h[act])
+                _advance(act, seg[act], h[act])
                 seg[act] = adv[act]
                 rows.observe(act, adv[act])
                 if record and seg[0] != next_jump[0]:
@@ -486,8 +503,9 @@ def _recorded(runner, model: ModelSpec, x0, i0: int, cfg: SimConfig,
 def simulate_state_independent(model: ModelSpec, x0, i0: int, cfg: SimConfig, *,
                                replica: int = 0,
                                stream: Optional[NoiseStream] = None) -> Trajectory:
-    """Exact event-driven path: jump skeleton first, frozen-regime Euler
-    integration on each inter-jump interval."""
+    """Exact event-driven path: jump skeleton first, then the frozen-regime
+    dynamics on each inter-jump interval (Euler, or exact OU steps for
+    ``linear_coeffs`` models) on the ``dt`` grid."""
     return _recorded(run_event_driven, model, x0, i0, cfg, replica, stream)
 
 

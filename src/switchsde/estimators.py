@@ -6,12 +6,13 @@ the statistics are reduced over that assembled array. Together with the
 counter-addressed noise this makes every estimate bit-identical under any
 thread count or batch completion order.
 
-Bound checkers share one report shape: ``margin >= 0`` if and only if the
-check passed, where the margin already folds in the stated statistical slack
-(3 sigma everywhere, Wilson intervals for proportions). Orientation varies
-by checker -- an upper-bound check uses ``rhs - (mean + 3 se)``, a holding
-probability check uses ``wilson_lower - bound`` -- and is documented on each
-function.
+Bound checkers share one report shape: a check passes if and only if
+``margin >= 0`` and its estimate is not flagged (at most 0.1% of replicas
+aborted; see ``McEstimate.flagged``), where the margin already folds in the
+stated statistical slack (3 sigma everywhere, Wilson intervals for
+proportions). Orientation varies by checker -- an upper-bound check uses
+``rhs - (mean + 3 se)``, a holding probability check uses
+``wilson_lower - bound`` -- and is documented on each function.
 """
 
 from __future__ import annotations
@@ -81,8 +82,10 @@ class BoundReport:
 
 
 def _bound_report(checker, lhs, rhs, margin, **params) -> BoundReport:
+    """A flagged estimate fails whatever its margin reads."""
     return BoundReport(checker=checker, lhs=lhs, rhs=float(rhs),
-                       margin=float(margin), passed=bool(margin >= 0),
+                       margin=float(margin),
+                       passed=bool(margin >= 0 and not lhs.flagged),
                        params=params)
 
 

@@ -118,12 +118,14 @@ class ModelSpec:
       ``|sigma(t,x,i) v| >= lambda(t) |v|``.
     * ``u_id`` / ``u_tilde_id``: keys into ``U_CLASSES``.
 
-    ``linear_coeffs`` is an optional integrator fast path for time-invariant,
-    regime-wise linear coefficients: given an int array of regimes it returns
-    ``(beta, a, s)`` arrays meaning drift ``a - beta x`` (the offset ``a``
-    enters every coordinate equally) and diffusion ``s * I``. When set it must
-    describe exactly the same coefficients as the callbacks; the callbacks
-    remain the public contract and are what the checkers probe.
+    ``linear_coeffs`` optionally declares time-invariant, regime-wise linear
+    coefficients: given an int array of regimes it returns ``(beta, a, s)``
+    arrays meaning drift ``a - beta x`` (the offset ``a`` enters every
+    coordinate equally) and diffusion ``s * I``. When set, the event-driven
+    runner replaces Euler steps with the exact Ornstein-Uhlenbeck transition
+    of each regime (``engine.ou_transition``), so it must describe exactly
+    the same coefficients as the callbacks; the callbacks remain the public
+    contract, are what the checkers probe, and drive the frozen-rate scheme.
     """
 
     dim: int

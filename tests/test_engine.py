@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import switchsde as s
+from switchsde import engine
 from switchsde.engine import (euler_step, first_switch_times, run_chain,
                               run_event_driven, run_frozen)
 from switchsde.noise import LANE_EULER, LANE_JUMP, NoiseStream
@@ -153,8 +154,8 @@ def test_identical_drift_regimes_ignore_skeleton():
                                             cfg(T=1.0, dt=1e-3,
                                                 scheme=s.EVENT_DRIVEN, seed=3),
                                             replica=rep)
-        # sigma = 0 and identical drift: X_T = e^{-T} x0 up to Euler bias
-        assert traj.x[-1, 0] == pytest.approx(math.exp(-1.0), abs=2e-3)
+        # sigma = 0 and identical drift: X_T = e^{-T} x0, exactly
+        assert traj.x[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
         total_jumps += len(traj.jumps)
     assert total_jumps >= 1  # chains did switch; the paths didn't care
 
@@ -279,6 +280,81 @@ def test_duplicate_replica_ids_share_randomness(ou_model):
     out = run_event_driven(ou_model, x0, 1, 0.5, 0.01, st, reps)
     assert out["x"][0] == out["x"][1]
     assert out["regime"][0] == out["regime"][1]
+
+
+# --- exact OU segments -------------------------------------------------------------
+
+def _ou_mean(beta, a, x, T):
+    if beta == 0:
+        return x + a * T
+    return math.exp(-beta * T) * x + a * (1.0 - math.exp(-beta * T)) / beta
+
+
+@pytest.mark.parametrize("beta", [1.3, 0.0, -0.8])
+@pytest.mark.parametrize("track_xmax", [False, True])
+def test_deterministic_linear_flow_is_exact(beta, track_xmax):
+    # sigma = 0 and the same drift in both regimes: the chain switches, the
+    # flow does not care, and X_T is the closed form whatever the grid
+    m = s.linear_switching_model(dim=1, beta=(beta, beta), a=(0.7, 0.7),
+                                 s=(0.0, 0.0))
+    reps = np.arange(50, dtype=np.uint64)
+    out = run_event_driven(m, np.array([1.5]), 1, 1.0, 1e-3, NoiseStream(8),
+                           reps, track_xmax=track_xmax)
+    assert np.isfinite(out["eta"]).any()
+    want = _ou_mean(beta, 0.7, 1.5, 1.0)
+    assert out["x"][:, 0] == pytest.approx(np.full(50, want), rel=1e-12)
+    if track_xmax:
+        assert np.all(out["xnorm_max"] >= np.abs(out["x"][:, 0]))
+
+
+@pytest.mark.parametrize("beta", [1.5, 0.0, -0.6])
+def test_one_regime_law_matches_closed_form(beta):
+    a, sig, x, T, n = 0.4, 0.8, 1.0, 0.7, 200_000
+    m = s.linear_switching_model(dim=1, beta=(beta,), a=(a,), s=(sig,),
+                                 rates=np.zeros((1, 1)))
+    out = run_event_driven(m, np.array([x]), 1, T, 1e-3, NoiseStream(19),
+                           np.arange(n, dtype=np.uint64))
+    X = out["x"][:, 0]
+    mean = _ou_mean(beta, a, x, T)
+    var = (sig ** 2 * T if beta == 0
+           else sig ** 2 * (1.0 - math.exp(-2 * beta * T)) / (2 * beta))
+    assert abs(X.mean() - mean) <= 3 * math.sqrt(var / n)
+    assert abs(X.var(ddof=1) - var) <= 3 * var * math.sqrt(2.0 / (n - 1))
+
+
+def test_stacked_rows_differ_by_the_decayed_start_gap():
+    # one beta, regime-dependent offsets and noise: rows on one skeleton and
+    # one noise stream differ by e^{-beta T} (x - y) alone
+    beta, T, n = 1.2, 0.9, 400
+    m = s.linear_switching_model(dim=2, beta=(beta, beta), a=(0.5, -0.3),
+                                 s=(1.0, 0.4))
+    x, y = np.array([0.8, -0.2]), np.array([-0.5, 0.6])
+    ids = np.tile(np.arange(n, dtype=np.uint64), 2)
+    x0 = np.vstack([np.tile(x, (n, 1)), np.tile(y, (n, 1))])
+    out = run_event_driven(m, x0, 1, T, 1e-3, NoiseStream(3), ids)
+    assert np.isfinite(out["eta"][:n]).any()
+    assert np.array_equal(out["regime"][:n], out["regime"][n:])
+    gap = out["x"][:n] - out["x"][n:]
+    assert np.allclose(gap, math.exp(-beta * T) * (x - y), rtol=0, atol=1e-12)
+
+
+def test_terminal_linear_run_draws_per_segment(monkeypatch):
+    # terminal values of a linear model need one normal per segment, not one
+    # per dt step (1000 here)
+    drawn = []
+
+    def counting(*args, draw=engine.keyed_normal):
+        out = draw(*args)
+        drawn.append(np.size(out))
+        return out
+
+    m = s.zoo("switching_ou")
+    n = 2000
+    monkeypatch.setattr(engine, "keyed_normal", counting)
+    out = run_event_driven(m, np.zeros(1), 1, 1.0, 1e-3, NoiseStream(5),
+                           np.arange(n, dtype=np.uint64))
+    assert np.isfinite(out["x"]).all()
+    assert 0 < sum(drawn) < 10 * n
 
 
 def _random_state_dependent_model(rng, d):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -208,6 +209,22 @@ def test_frozen_rate_agrees_with_event_driven(ou_model):
     assert abs(ef.mean - ee.mean) <= tol
 
 
+@pytest.mark.parametrize("name", ["switching_ou", "degenerate_regime",
+                                  "birth_death_switch"])
+def test_exact_segments_agree_with_euler_twin(name):
+    # the callback twin of a linear model still runs Euler on the dt grid;
+    # the allowance for Euler's O(dt) weak error is fixed at 5 dt
+    m = s.zoo(name)
+    twin = replace(m, linear_coeffs=None)
+    f = lambda X, lam: np.tanh(X[:, 0] - 0.3 * lam)
+    dt = 2e-3
+    c = ecfg(T=0.5, dt=dt, seed=93)
+    exact = s.semigroup_estimate(m, f, 0.5, [0.5], 1, 10_000, c)
+    euler = s.semigroup_estimate(twin, f, 0.5, [0.5], 1, 10_000, c)
+    tol = 3 * math.hypot(exact.stderr, euler.stderr) + 5 * dt
+    assert abs(exact.mean - euler.mean) <= tol
+
+
 def _cubic_escape_model():
     """Regime 1 is a stable OU; regime 2 has drift 3 x^3, whose Euler steps
     escape to infinity from moderate |x|. Switching 1 -> 2 speeds up with
@@ -276,6 +293,18 @@ def test_bound_records_carry_aborted_count(tmp_path):
     path = tmp_path / "holding.jsonl"
     reports.write_jsonl(path, [reports.from_bound_report(r) for r in reps])
     assert [r["n_aborted"] for r in reports.read_jsonl(path)] == [32, 32]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_flagged_estimates_fail_their_check():
+    # 32 of 120 replicas abort: the margins stay positive, the checks fail
+    m = _cubic_escape_model()
+    c = s.SimConfig(horizon=1.0, dt=0.02, seed=77, scheme=s.FROZEN_RATE)
+    reps = s.holding_time_check(m, [1.0], 1, 2, (0.3, 1.0), 120, c)
+    assert [r.params["t"] for r in reps] == [0.3, 1.0]
+    for r in reps:
+        assert r.lhs.flagged and r.margin > 0
+        assert not r.passed
 
 
 @pytest.mark.filterwarnings("ignore::switchsde.errors.StiffSwitchingWarning")
