@@ -3,8 +3,7 @@ with state-dependent switching over countably infinite regime spaces."""
 
 from .engine import (DEFAULT_SEED, EVENT_DRIVEN, FROZEN_RATE, SimConfig,
                      coupled_simulate, run_chain, run_event_driven, run_frozen,
-                     simulate, simulate_path, simulate_state_independent,
-                     simulate_truncated, truncated_model)
+                     simulate_path, simulate_truncated, truncated_model)
 from .errors import (ConfigError, InvalidModelError, NumericalBlowupError,
                      StiffSwitchingWarning, UnsupportedSchemeError)
 from .estimators import (BoundReport, FirstJumpEstimate, GapEstimate,

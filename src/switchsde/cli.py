@@ -31,9 +31,8 @@ from . import estimators as est
 from . import reports as rep
 from .config import (ScenarioConfig, build_model, build_sim, config_hash,
                      load_config, validate_task)
-from .engine import simulate
-from .errors import (ConfigError, InvalidModelError, NumericalBlowupError,
-                     UnsupportedSchemeError)
+from .engine import simulate_path
+from .errors import ConfigError, InvalidModelError, NumericalBlowupError
 from .models import SamplingPlan, check_assumptions
 from .trajectory import Trajectory
 
@@ -98,7 +97,7 @@ def _write_outputs(cfg: ScenarioConfig, records: list[dict],
 def _run_simulate(model, cfg, sim, task, digest):
     x0 = task.get("x0", [0.0] * model.dim)
     i0 = int(task.get("i0", 1))
-    traj = simulate(model, x0, i0, sim)
+    traj = simulate_path(model, x0, i0, sim)
     traj.config_digest = digest
     records = [rep.record("simulate", model.model_id,
                           {"x0": x0, "i0": i0, "eta": traj.eta,
@@ -285,12 +284,14 @@ def run(subcommand: str, config_path, *, seed=None, replicas=None, dt=None,
     except NumericalBlowupError as exc:
         print(f"numerical blowup: {exc}", file=sys.stderr)
         return 4
-    except UnsupportedSchemeError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except InvalidModelError as exc:
         print(f"model failure: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, TypeError) as exc:
+        # an unsupported scheme, or task inputs such as x0 or i0 that the
+        # model cannot take (a non-numeric point, a regime outside the space)
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     _write_outputs(cfg, records, traj)
     n_pass = sum(1 for r in records if r.get("pass"))
     print(f"{subcommand}: {n_pass}/{len(records)} records pass; exit {code}")

@@ -3,9 +3,7 @@
 ::
 
     {
-      "model":  {"zoo": "<name>", "params": {...}}            # or
-                {"table": {"dim":1, "beta":[...], "a":[...],
-                           "s":[...], "rates":[[...]]}},
+      "model":  {"zoo": "<name>", "params": {...}},
       "sim":    {"T": 1.0, "dt": 0.001, "K": null, "seed": 123456789,
                  "scheme": "event_driven_exact", "replicas": 10000,
                  "threads": 1},
@@ -15,11 +13,10 @@
                  "plot_data": null}
     }
 
-Zoo params per model: ``switching_ou`` takes dim/beta/a/s/rates,
-``degenerate_regime`` takes dim, ``birth_death_switch`` takes
-dim/sigma_scale, ``nonlipschitz_log`` takes nothing. A ``table`` model is a
-regime-wise linear coefficient table (same semantics as switching_ou with an
-explicit rate matrix).
+Each section is a JSON object. A zoo model's params are its builder's
+keyword arguments (``models.zoo``): ``switching_ou`` takes
+dim/beta/a/s/rates, ``degenerate_regime`` takes dim, ``birth_death_switch``
+takes dim/sigma_scale, ``nonlipschitz_log`` takes nothing.
 
 Unknown keys anywhere are rejected. The seed defaults to the fixed constant
 ``DEFAULT_SEED`` -- never the wall clock -- and the canonical sha256 hash of
@@ -32,13 +29,12 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .engine import DEFAULT_SEED, SCHEMES, SimConfig
+from .engine import DEFAULT_SEED, SimConfig
 from .errors import ConfigError
-from .models import ModelSpec, linear_switching_model, zoo
+from .models import ModelSpec, zoo
 
 _TOP_KEYS = {"model", "sim", "task", "output"}
-_MODEL_KEYS = {"zoo", "params", "table"}
-_TABLE_KEYS = {"dim", "beta", "a", "s", "rates"}
+_MODEL_KEYS = {"zoo", "params"}
 _SIM_KEYS = {"T", "dt", "K", "seed", "scheme", "replicas", "threads"}
 _OUTPUT_KEYS = {"dir", "reports", "trajectory", "trajectory_binary", "plot_data"}
 
@@ -51,13 +47,6 @@ TASK_KEYS = {
     "feller": {"x0", "i0", "t", "radii", "f", "mode", "floor"},
     "chain-marginal": {"times", "starts", "min_fraction"},
     "truncation-check": {"x0", "i0", "K_values", "t", "compare_cases"},
-}
-
-_ZOO_PARAM_KEYS = {
-    "switching_ou": {"dim", "beta", "a", "s", "rates"},
-    "degenerate_regime": {"dim"},
-    "birth_death_switch": {"dim", "sigma_scale"},
-    "nonlipschitz_log": set(),
 }
 
 
@@ -88,26 +77,15 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "top level")
-    model = raw.get("model", {})
-    sim = raw.get("sim", {})
-    output = raw.get("output", {})
-    _reject_unknown(model, _MODEL_KEYS, "model")
-    _reject_unknown(sim, _SIM_KEYS, "sim")
-    _reject_unknown(output, _OUTPUT_KEYS, "output")
-    if "zoo" in model and "table" in model:
-        raise ConfigError("model: give either 'zoo' or 'table', not both")
-    if "zoo" in model:
-        name = model["zoo"]
-        if name not in _ZOO_PARAM_KEYS:
-            raise ConfigError(f"unknown zoo model {name!r}")
-        _reject_unknown(model.get("params", {}), _ZOO_PARAM_KEYS[name],
-                        f"model.params for {name}")
-    if "table" in model:
-        _reject_unknown(model["table"], _TABLE_KEYS, "model.table")
-    if "scheme" in sim and sim["scheme"] not in SCHEMES:
-        raise ConfigError(f"sim.scheme must be one of {SCHEMES}")
-    return ScenarioConfig(model=model, sim=sim,
-                          task=raw.get("task", {}), output=output)
+    sections = {name: raw.get(name, {}) for name in sorted(_TOP_KEYS)}
+    for name, section in sections.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"{name} must be a JSON object, "
+                              f"got {type(section).__name__}")
+    _reject_unknown(sections["model"], _MODEL_KEYS, "model")
+    _reject_unknown(sections["sim"], _SIM_KEYS, "sim")
+    _reject_unknown(sections["output"], _OUTPUT_KEYS, "output")
+    return ScenarioConfig(**sections)
 
 
 def load_config(path) -> ScenarioConfig:
@@ -132,23 +110,11 @@ def validate_task(cfg: ScenarioConfig, subcommand: str) -> dict:
 
 
 def build_model(cfg: ScenarioConfig) -> ModelSpec:
-    model = cfg.model
-    if "table" in model:
-        t = dict(model["table"])
-        try:
-            return linear_switching_model(
-                dim=t.get("dim", 1), beta=t.get("beta", (1.0,)),
-                a=t.get("a", (0.0,) * len(t.get("beta", (1.0,)))),
-                s=t.get("s", (1.0,) * len(t.get("beta", (1.0,)))),
-                rates=t.get("rates"), model_id="table")
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad coefficient table: {exc}") from None
-    name = model.get("zoo")
-    if not name:
-        raise ConfigError("model section needs 'zoo' or 'table'")
+    """The zoo model the config names; an unknown name, an unknown parameter
+    or a bad parameter value is a ``ConfigError``."""
     try:
-        return zoo(name, **model.get("params", {}))
-    except (ValueError, TypeError) as exc:
+        return zoo(cfg.model.get("zoo"), **cfg.model.get("params", {}))
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad model: {exc}") from None
 
 
@@ -167,5 +133,5 @@ def build_sim(cfg: ScenarioConfig, *, seed=None, replicas=None, dt=None,
             threads=int(threads if threads is not None
                         else sim.get("threads", 1)),
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad sim section: {exc}") from None

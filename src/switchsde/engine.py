@@ -1,8 +1,8 @@
 """Path simulation of (X_t, Lambda_t).
 
 Two schemes, each one batch runner over replica rows; a single recorded path
-is the runner's recording mode at one replica (``simulate_path``,
-``simulate_state_independent``):
+is the runner of ``cfg.scheme`` in recording mode at one replica
+(``simulate_path``, the one recorded-path entry point):
 
 * ``frozen_rate`` (``run_frozen``) -- works for state-dependent rates. Per
   step ``[t, t+dt)`` the switching intensity is frozen at the step start; an
@@ -26,8 +26,8 @@ is the runner's recording mode at one replica (``simulate_path``,
 
 Every other step, in either runner, goes through one regime-grouped Euler
 kernel over the model callbacks (``euler_step``). A runner reports rows whose
-state turned non-finite in its ``aborted`` mask; the recording mode raises
-``NumericalBlowupError``.
+state turned non-finite in its ``aborted`` mask; ``simulate_path`` raises
+``NumericalBlowupError`` at the first logged state that is not finite.
 
 All randomness is counter-addressed per replica (see ``noise``): the same
 seed and replica id reproduce a path bit-for-bit regardless of batch size,
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -86,6 +87,11 @@ class SimConfig:
         if not (math.isfinite(self.horizon) and self.horizon >= 0):
             raise ValueError(f"horizon must be nonnegative and finite, "
                              f"got {self.horizon}")
+        K = self.truncation
+        if K is not None and not (isinstance(K, numbers.Real)
+                                  and math.isfinite(K)):
+            raise ValueError(f"truncation must be None or a finite number, "
+                             f"got {K!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; have {SCHEMES}")
         if self.replicas < 1 or self.threads < 1:
@@ -140,6 +146,17 @@ def ou_transition(X: np.ndarray, beta, a, s, h, xi: np.ndarray) -> np.ndarray:
             + (s * np.sqrt(var_f))[:, None] * xi)
 
 
+def _start_regime(q: QMatrixSpec, i0) -> int:
+    """``i0`` as an int; a ValueError naming it if it lies outside the regime
+    space of ``q``."""
+    i0 = int(i0)
+    if i0 < 1 or (q.n_regimes is not None and i0 > q.n_regimes):
+        space = f"1..{q.n_regimes}" if q.n_regimes is not None else "1, 2, ..."
+        raise ValueError(f"start regime {i0} is outside the regime space "
+                         f"{{{space}}}")
+    return i0
+
+
 class _Rows:
     """Per-row state of a batch run, shared by both runners: positions,
     regimes, first-switch times, running regime and norm maxima, truncation
@@ -156,7 +173,7 @@ class _Rows:
                              f"{n} replicas in dimension {d}")
         if record and n != 1:
             raise ValueError("recording needs a single replica")
-        self.lam = np.full(n, int(i0), dtype=np.int64)
+        self.lam = np.full(n, _start_regime(model.q, i0), dtype=np.int64)
         self.eta = np.full(n, np.inf)
         self.lam_max = self.lam.astype(float)
         self.trunc_level = trunc_level
@@ -251,7 +268,7 @@ def _holding_times(E, totals):
 def first_switch_times(q: QMatrixSpec, i0: int, keys: np.ndarray) -> np.ndarray:
     """First switching times ``E_0 / q_{i0}`` (jump-lane index 0) of the
     replica ``keys`` under state-independent rates: both runners' first clock."""
-    total = q.total_rate(np.zeros(1), int(i0))
+    total = q.total_rate(np.zeros(1), _start_regime(q, i0))
     return _holding_times(keyed_exponential(keys, LANE_JUMP, np.uint64(0)),
                           np.full(len(keys), total))
 
@@ -260,8 +277,8 @@ def run_chain(q: QMatrixSpec, i0: int, T: float, stream: NoiseStream,
               replicas: np.ndarray, t_marks=()) -> dict:
     """Vectorized skeleton-only simulation of a state-independent chain.
 
-    Returns final regimes, first-switch times ``eta``, running regime maxima
-    and the regime at each requested mark time. Uses the same jump-lane
+    Returns the regimes at ``T`` and, per mark time, the regime at that time
+    (right-continuous: a switch at the mark counts). Uses the same jump-lane
     addressing as the full runner, so the skeletons agree bit-for-bit; each
     pass draws marks and clocks for the switching replicas only.
     """
@@ -272,35 +289,24 @@ def run_chain(q: QMatrixSpec, i0: int, T: float, stream: NoiseStream,
     keys = stream.replica_keys(replicas)
     layout = _zero_layouts(q, 1)
     lam = np.full(n, int(i0), dtype=np.int64)
-    cur = np.zeros(n)
     jump_ctr = np.ones(n, dtype=np.uint64)
-    eta = np.full(n, np.inf)
-    lam_max = lam.astype(float)
     marks = [float(tm) for tm in t_marks]
     lam_at = np.full((len(marks), n), int(i0), dtype=np.int64)
-    unfilled = np.ones((len(marks), n), dtype=bool)
     nxt = first_switch_times(q, i0, keys)
 
-    while True:
-        for mi, tm in enumerate(marks):
-            hit = unfilled[mi] & (cur <= tm) & (nxt > tm)
-            lam_at[mi][hit] = lam[hit]
-            unfilled[mi][hit] = False
-        jr = np.flatnonzero(nxt <= T)
-        if not jr.size:
-            break
+    while (jr := np.flatnonzero(nxt <= T)).size:
         U = keyed_uniform(keys[jr], LANE_JUMP, jump_ctr[jr])
         E = keyed_exponential(keys[jr], LANE_JUMP, jump_ctr[jr] + np.uint64(1))
         jump_ctr[jr] += np.uint64(2)
-        eta[jr] = np.where(np.isinf(eta[jr]), nxt[jr], eta[jr])
-        lam[jr] = _destinations(layout, lam[jr], U)
-        lam_max[jr] = np.maximum(lam_max[jr], lam[jr])
-        cur[jr] = nxt[jr]
-        nxt[jr] = cur[jr] + _holding_times(E, _regime_totals(layout, lam[jr]))
-
-    for mi in range(len(marks)):
-        lam_at[mi][unfilled[mi]] = lam[unfilled[mi]]
-    return {"regime": lam, "eta": eta, "regime_max": lam_max, "regime_at": lam_at}
+        new = _destinations(layout, lam[jr], U)
+        lam[jr] = new
+        s = nxt[jr]
+        # switch times only grow, so the last pass at or before a mark wins
+        for mi, tm in enumerate(marks):
+            hit = s <= tm
+            lam_at[mi, jr[hit]] = new[hit]
+        nxt[jr] = s + _holding_times(E, _regime_totals(layout, new))
+    return {"regime": lam, "regime_at": lam_at}
 
 
 # --- batch runners ---------------------------------------------------------------
@@ -482,50 +488,29 @@ def run_frozen(model: ModelSpec, x0, i0: int, T: float, dt: float,
 
 # --- trajectory-level operations ----------------------------------------------
 
-def _recorded(runner, model: ModelSpec, x0, i0: int, cfg: SimConfig,
-              replica: int, stream: Optional[NoiseStream]) -> Trajectory:
-    """One replica through ``runner`` in recording mode, as a trajectory; a
-    row that turned non-finite raises at its last logged state."""
+def simulate_path(model: ModelSpec, x0, i0: int, cfg: SimConfig, *,
+                  replica: int = 0,
+                  stream: Optional[NoiseStream] = None) -> Trajectory:
+    """One recorded path: replica ``replica`` through the runner of
+    ``cfg.scheme`` in recording mode, as a trajectory. A path whose state
+    turned non-finite raises ``NumericalBlowupError`` at its first logged
+    state that is not finite."""
+    runner = run_event_driven if cfg.scheme == EVENT_DRIVEN else run_frozen
     out = runner(model, as_point(x0), i0, cfg.horizon, cfg.dt,
                  stream or NoiseStream(cfg.seed),
                  np.array([replica], dtype=np.uint64),
                  trunc_level=cfg.truncation, record=True)
     log = out["log"]
-    if out["aborted"][0]:
-        raise NumericalBlowupError(*log[-1])
-    return Trajectory(times=np.array([r[0] for r in log]),
-                      x=np.stack([r[1] for r in log]),
-                      regime=np.array([r[2] for r in log], dtype=np.int64),
-                      jumps=out["jumps"], eta=float(out["eta"][0]),
-                      tau_k=float(out["tau_k"][0]), seed=cfg.seed)
-
-
-def simulate_state_independent(model: ModelSpec, x0, i0: int, cfg: SimConfig, *,
-                               replica: int = 0,
-                               stream: Optional[NoiseStream] = None) -> Trajectory:
-    """Exact event-driven path: jump skeleton first, then the frozen-regime
-    dynamics on each inter-jump interval (Euler, or exact OU steps for
-    ``linear_coeffs`` models) on the ``dt`` grid."""
-    return _recorded(run_event_driven, model, x0, i0, cfg, replica, stream)
-
-
-def simulate_path(model: ModelSpec, x0, i0: int, cfg: SimConfig, *,
-                  replica: int = 0,
-                  stream: Optional[NoiseStream] = None) -> Trajectory:
-    """Frozen-rate path simulation (state-dependent rates allowed)."""
-    if cfg.scheme != FROZEN_RATE:
-        raise UnsupportedSchemeError(
-            f"simulate_path implements {FROZEN_RATE!r}; got {cfg.scheme!r}")
-    return _recorded(run_frozen, model, x0, i0, cfg, replica, stream)
-
-
-def simulate(model: ModelSpec, x0, i0: int, cfg: SimConfig, *,
-             replica: int = 0, stream: Optional[NoiseStream] = None) -> Trajectory:
-    """Dispatch on ``cfg.scheme``."""
-    if cfg.scheme == EVENT_DRIVEN:
-        return simulate_state_independent(model, x0, i0, cfg,
-                                          replica=replica, stream=stream)
-    return simulate_path(model, x0, i0, cfg, replica=replica, stream=stream)
+    times = np.array([r[0] for r in log])
+    x = np.stack([r[1] for r in log])
+    regime = np.array([r[2] for r in log], dtype=np.int64)
+    dead = ~np.isfinite(x).all(axis=1)
+    if dead.any():
+        k = int(dead.argmax())
+        raise NumericalBlowupError(times[k], x[k], regime[k])
+    return Trajectory(times=times, x=x, regime=regime, jumps=out["jumps"],
+                      eta=float(out["eta"][0]), tau_k=float(out["tau_k"][0]),
+                      seed=cfg.seed)
 
 
 # --- truncation ----------------------------------------------------------------
@@ -615,8 +600,8 @@ def coupled_simulate(model: ModelSpec, start_a, start_b, cfg: SimConfig, *,
     """
     stream = stream or NoiseStream(cfg.seed)
     (xa, ia), (xb, ib) = start_a, start_b
-    ta = simulate(model, xa, ia, cfg, replica=replica, stream=stream)
-    tb = simulate(model, xb, ib, cfg, replica=replica, stream=stream)
+    ta = simulate_path(model, xa, ia, cfg, replica=replica, stream=stream)
+    tb = simulate_path(model, xb, ib, cfg, replica=replica, stream=stream)
     zeta = _first_regime_separation(ta, tb)
     ta.zeta = zeta
     tb.zeta = zeta

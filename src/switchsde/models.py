@@ -404,7 +404,7 @@ HARNACK_PREREQUISITES = (
 def _matrix_q(rates: np.ndarray) -> QMatrixSpec:
     """State-independent spec from an explicit off-diagonal rate table."""
     R = np.asarray(rates, dtype=float)
-    n = R.shape[0]
+    n = len(R) if R.ndim else 0
     if R.shape != (n, n):
         raise ValueError("rates must be a square matrix")
     off = R - np.diag(np.diag(R))
@@ -466,8 +466,9 @@ def linear_switching_model(*, dim=1, beta=(1.0, 2.0), a=(0.0, 0.0), s=(1.0, 1.0)
         advertised=advertised, linear_coeffs=lincoef)
 
 
-def _zoo_switching_ou(**kw):
-    return linear_switching_model(**kw)
+def _zoo_switching_ou(dim=1, beta=(1.0, 2.0), a=(0.0, 0.0), s=(1.0, 1.0),
+                      rates=None):
+    return linear_switching_model(dim=dim, beta=beta, a=a, s=s, rates=rates)
 
 
 def _zoo_degenerate_regime(dim=1):
@@ -478,28 +479,9 @@ def _zoo_degenerate_regime(dim=1):
     time, so bounded-measurable statistics inherit the discontinuity of the
     initial point. Used as the negative certificate in the Feller checks.
     """
-    q = _matrix_q(np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-    def drift(t, x, i):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def diffusion(t, x, i):
-        return 0.0 if i == 1 else 1.0
-
-    def lincoef(lam):
-        lam = np.asarray(lam, dtype=np.int64)
-        zero = np.zeros(len(lam))
-        return zero, zero, (lam == 2).astype(float)
-
-    return ModelSpec(
-        dim=dim, drift=drift, diffusion=diffusion, q=q,
-        growth_c=lambda t: float(max(dim, 1)),
-        dissipativity_c=lambda t, i: 1.0,
-        diffusion_mod_c=lambda t, i: 1.0,
-        ellipticity_lambda=lambda t: 1.0,
-        u_id="one", u_tilde_id="one",
-        model_id=f"degenerate_regime(d={dim})",
-        advertised=_ALL_CHECKS - {"uniform_ellipticity"}, linear_coeffs=lincoef)
+    return linear_switching_model(dim=dim, beta=(0, 0), a=(0, 0), s=(0, 1),
+                                  rates=[[0, 1], [1, 0]],
+                                  model_id=f"degenerate_regime(d={dim})")
 
 
 def _zoo_birth_death_switch(dim=1, sigma_scale=1.0):

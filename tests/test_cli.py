@@ -2,10 +2,12 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import switchsde as s
 from switchsde.cli import run
-from switchsde.config import (build_model, build_sim, config_hash,
+from switchsde.config import (TASK_KEYS, build_model, build_sim, config_hash,
                               parse_config, render_config, validate_task)
 from switchsde.reports import emit_plot_data, read_jsonl, record, write_jsonl
 
@@ -51,10 +53,11 @@ def test_unknown_keys_rejected():
     bad2["sim"]["weird"] = 1
     with pytest.raises(s.ConfigError, match="weird"):
         parse_config(json.dumps(bad2))
+    # zoo params are the builder's keyword arguments: the builder rejects
     bad3 = json.loads(json.dumps(BASE))
     bad3["model"]["params"]["volatility"] = 1
     with pytest.raises(s.ConfigError, match="volatility"):
-        parse_config(json.dumps(bad3))
+        build_model(parse_config(json.dumps(bad3)))
 
 
 def test_task_keys_validated():
@@ -72,13 +75,61 @@ def test_build_model_and_sim_overrides():
     assert (sim.seed, sim.replicas, sim.dt, sim.threads) == (9, 55, 0.02, 2)
 
 
-def test_table_model():
-    cfg = parse_config(json.dumps({
-        "model": {"table": {"dim": 1, "beta": [1.0], "a": [0.0], "s": [1.0],
-                            "rates": [[0.0]]}},
-        "sim": {}, "task": {}, "output": {}}))
-    m = build_model(cfg)
-    assert m.model_id == "table"
+_NUMBER = st.integers() | st.floats()
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBER | st.text(max_size=4),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=8)
+# vectors and matrices of numbers reach further into the model builders
+_VALUE = (_JSON | st.lists(_NUMBER, max_size=3)
+          | st.lists(st.lists(_NUMBER, max_size=3), max_size=3))
+
+
+def _section(keys, **fixed):
+    """Four times in five an object over ``keys`` (values from ``fixed``
+    where given), with a random key one time in five; otherwise any JSON
+    value."""
+    values = {k: fixed.get(k, _VALUE) for k in sorted(keys)}
+    known = st.fixed_dictionaries({}, optional=values)
+    extra = st.dictionaries(st.text(max_size=4), _JSON, max_size=1)
+    obj = st.tuples(st.integers(0, 4), extra, known).map(
+        lambda r: {**r[1], **r[2]} if r[0] == 0 else r[2])
+    return st.integers(0, 4).flatmap(lambda r: obj if r else _JSON)
+
+
+_CONFIGS = _section(
+    {"model", "sim", "task", "output"},
+    model=_section({"zoo", "params"},
+                   zoo=st.sampled_from(["switching_ou", "degenerate_regime",
+                                        "birth_death_switch",
+                                        "nonlipschitz_log"]) | _JSON,
+                   params=_section({"dim", "beta", "a", "s", "rates",
+                                    "sigma_scale"})),
+    sim=_section({"T", "dt", "K", "seed", "scheme", "replicas", "threads"}),
+    task=_section(set().union(*TASK_KEYS.values())),
+    output=_section({"dir", "reports", "trajectory", "trajectory_binary",
+                     "plot_data"}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_CONFIGS)
+@example(raw={"model": {"zoo": "switching_ou", "params": {"rates": False}}})
+@example(raw={"model": {"zoo": "degenerate_regime",
+                        "params": {"dim": 10 ** 400}},
+              "sim": {"seed": math.inf}})
+def test_config_layer_raises_only_config_errors(raw):
+    # nothing is simulated: parsing, task validation and model/sim building
+    try:
+        cfg = parse_config(json.dumps(raw))
+    except s.ConfigError:
+        return
+    stages = [lambda sub=sub: validate_task(cfg, sub) for sub in TASK_KEYS]
+    for stage in (*stages, lambda: build_model(cfg), lambda: build_sim(cfg)):
+        try:
+            stage()
+        except s.ConfigError:
+            pass
 
 
 # --- report layer -----------------------------------------------------------------
@@ -191,6 +242,27 @@ def test_nonfinite_sim_values_exit_code(tmp_path, capsys):
         assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, value", [
+    ("model", []), ("sim", []), ("task", []), ("sim", {"K": "abc"}),
+    ("task", {"x0": "abc"}), ("model", {"zoo": []}),
+])
+def test_malformed_sections_exit_code(tmp_path, capsys, section, value):
+    cfg = with_task(BASE, "simulate", {}, dir=str(tmp_path / "o"))
+    cfg[section] = value
+    assert run("simulate", write_config(tmp_path, cfg)) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scheme", ["event_driven_exact", "frozen_rate"])
+@pytest.mark.parametrize("i0", [0, -1, 3])
+def test_start_regime_outside_space_exit_code(tmp_path, capsys, scheme, i0):
+    cfg = with_task(BASE, "simulate", {"x0": [0.0], "i0": i0},
+                    dir=str(tmp_path / "o"))
+    cfg["sim"]["scheme"] = scheme
+    assert run("simulate", write_config(tmp_path, cfg)) == 2
+    assert f"start regime {i0} " in capsys.readouterr().err
+
+
 def test_assumption_gate_exit_code(tmp_path):
     cfg = {
         "model": {"zoo": "degenerate_regime"},
@@ -206,8 +278,9 @@ def test_blowup_exit_code(tmp_path):
     import warnings
     for scheme in ("event_driven_exact", "frozen_rate"):
         cfg = {
-            "model": {"table": {"dim": 1, "beta": [-1e9], "a": [0.0],
-                                "s": [0.0], "rates": [[0.0]]}},
+            "model": {"zoo": "switching_ou",
+                      "params": {"dim": 1, "beta": [-1e9], "a": [0.0],
+                                 "s": [0.0], "rates": [[0.0]]}},
             "sim": {"T": 1.0, "dt": 0.01, "seed": 1, "scheme": scheme,
                     "replicas": 10},
             "task": {"x0": [1.0], "i0": 1},

@@ -107,8 +107,9 @@ def test_trajectory_structure_random_models():
                                      a=rng.uniform(-1, 1, n),
                                      s=rng.uniform(0.4, 1.5, n), rates=rates)
         scheme = s.FROZEN_RATE if trial % 2 else s.EVENT_DRIVEN
-        traj = s.simulate(m, [0.1, -0.2], 1, cfg(T=0.6, scheme=scheme,
-                                                 seed=trial), replica=trial)
+        traj = s.simulate_path(m, [0.1, -0.2], 1,
+                               cfg(T=0.6, scheme=scheme, seed=trial),
+                               replica=trial)
         assert np.all(np.diff(traj.times) > 0)
         assert traj.regime.min() >= 1
         for j in traj.jumps:
@@ -119,9 +120,8 @@ def test_trajectory_structure_random_models():
 
 def test_exponential_holding_law(ou_model):
     # from regime 1 the exit rate is 1 (single destination)
-    st = NoiseStream(77)
-    out = run_chain(ou_model.q, 1, 50.0, st, np.arange(60_000, dtype=np.uint64))
-    eta = out["eta"]
+    keys = NoiseStream(77).replica_keys(np.arange(60_000, dtype=np.uint64))
+    eta = first_switch_times(ou_model.q, 1, keys)
     assert abs(eta.mean() - 1.0) < 3.0 * eta.std() / math.sqrt(len(eta))
 
 
@@ -134,9 +134,9 @@ def test_first_destination_frequencies():
     st = NoiseStream(9)
     # long horizon guarantees the first jump happens; read regime right after eta
     for rep in range(200):
-        traj = s.simulate_state_independent(m3, [0.0], 1,
-                                            cfg(T=2.0, scheme=s.EVENT_DRIVEN,
-                                                seed=9), replica=rep)
+        traj = s.simulate_path(m3, [0.0], 1,
+                               cfg(T=2.0, scheme=s.EVENT_DRIVEN, seed=9),
+                               replica=rep)
         if traj.jumps:
             counts[traj.jumps[0].dst] += 1
     total = counts[2] + counts[3]
@@ -150,10 +150,10 @@ def test_identical_drift_regimes_ignore_skeleton():
                                  s=(0.0, 0.0))
     total_jumps = 0
     for rep in range(10):
-        traj = s.simulate_state_independent(m, [1.0], 1,
-                                            cfg(T=1.0, dt=1e-3,
-                                                scheme=s.EVENT_DRIVEN, seed=3),
-                                            replica=rep)
+        traj = s.simulate_path(m, [1.0], 1,
+                               cfg(T=1.0, dt=1e-3, scheme=s.EVENT_DRIVEN,
+                                   seed=3),
+                               replica=rep)
         # sigma = 0 and identical drift: X_T = e^{-T} x0, exactly
         assert traj.x[-1, 0] == pytest.approx(math.exp(-1.0), rel=1e-12)
         total_jumps += len(traj.jumps)
@@ -162,8 +162,8 @@ def test_identical_drift_regimes_ignore_skeleton():
 
 def test_reproducibility_and_coupling(ou_model):
     c = cfg(T=0.8, scheme=s.EVENT_DRIVEN, seed=22)
-    t1 = s.simulate(ou_model, [0.4], 1, c, replica=5)
-    t2 = s.simulate(ou_model, [0.4], 1, c, replica=5)
+    t1 = s.simulate_path(ou_model, [0.4], 1, c, replica=5)
+    t2 = s.simulate_path(ou_model, [0.4], 1, c, replica=5)
     assert np.array_equal(t1.x, t2.x)
     assert np.array_equal(t1.times, t2.times)
 
@@ -266,11 +266,31 @@ def test_chain_skeleton_matches_full_runner(ou_model):
                             NoiseStream(44), reps)
     first = first_switch_times(ou_model.q, 1, NoiseStream(44).replica_keys(reps))
     assert np.array_equal(chain["regime"], full["regime"])
-    assert np.array_equal(chain["eta"], full["eta"])
-    switched = np.isfinite(chain["eta"])
+    # every switch of this chain changes the regime: eta is the first clock
+    switched = first <= 0.9
     assert 0 < switched.sum() < len(reps)
-    assert np.array_equal(first[switched], chain["eta"][switched])
-    assert np.all(first[~switched] > 0.9)
+    assert np.array_equal(np.where(switched, first, np.inf), full["eta"])
+
+
+def test_chain_marks_match_event_driven_runs():
+    # the regime at each mark is, bit for bit, the final regime of the full
+    # runner stopped at that mark, on the same stream and replicas
+    rng = np.random.default_rng(8)
+    n = 5
+    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    rates = np.where((band > 0) & (band <= 2), rng.uniform(0.3, 2.0, (n, n)), 0.0)
+    m = s.linear_switching_model(dim=1, beta=(1.0,) * n, a=(0.0,) * n,
+                                 s=(1.0,) * n, rates=rates)
+    reps = np.arange(3000, dtype=np.uint64)
+    marks = (0.3, 0.9, 2.0)
+    for i0 in (1, 3, 5):
+        chain = run_chain(m.q, i0, 2.0, NoiseStream(61), reps, t_marks=marks)
+        assert np.array_equal(chain["regime_at"][-1], chain["regime"])
+        for mi, tm in enumerate(marks):
+            full = run_event_driven(m, np.zeros(1), i0, tm, 0.01,
+                                    NoiseStream(61), reps)
+            assert np.array_equal(chain["regime_at"][mi], full["regime"])
+        assert len(np.unique(chain["regime_at"][0])) == n
 
 
 def test_duplicate_replica_ids_share_randomness(ou_model):
@@ -491,7 +511,27 @@ def test_event_driven_needs_state_independent(scalar_rate_q):
                     diffusion_mod_c=lambda t, i: 1.0,
                     ellipticity_lambda=lambda t: 1.0)
     with pytest.raises(s.UnsupportedSchemeError):
-        s.simulate_state_independent(m, [0.0], 1, cfg(scheme=s.EVENT_DRIVEN))
+        s.simulate_path(m, [0.0], 1, cfg(scheme=s.EVENT_DRIVEN))
+
+
+@pytest.mark.parametrize("runner", [run_event_driven, run_frozen])
+@pytest.mark.parametrize("i0", [0, -1, 3])
+def test_start_regime_outside_space_rejected(ou_model, runner, i0):
+    reps = np.arange(4, dtype=np.uint64)
+    with pytest.raises(ValueError, match=f"start regime {i0} "):
+        runner(ou_model, np.zeros(1), i0, 0.5, 0.1, NoiseStream(1), reps)
+    with pytest.raises(ValueError, match=f"start regime {i0} "):
+        first_switch_times(ou_model.q, i0, NoiseStream(1).replica_keys(reps))
+
+
+def test_countable_space_has_no_top_regime():
+    bd = s.zoo("birth_death_switch")
+    out = run_event_driven(bd, np.zeros(1), 40, 0.1, 0.01, NoiseStream(2),
+                           np.arange(8, dtype=np.uint64))
+    assert np.isfinite(out["x"]).all()
+    with pytest.raises(ValueError, match="start regime 0 "):
+        run_frozen(bd, np.zeros(1), 0, 0.1, 0.01, NoiseStream(2),
+                   np.arange(8, dtype=np.uint64))
 
 
 # --- jump marks against the interval layout ----------------------------------
@@ -542,7 +582,7 @@ def test_event_driven_marks_land_in_destination_interval():
                                  s=(1.0,) * 4, rates=rates)
     seen = 0
     for rep in range(20):
-        traj = s.simulate_state_independent(
+        traj = s.simulate_path(
             m, [0.0], 1 + rep % 4, cfg(T=3.0, scheme=s.EVENT_DRIVEN, seed=23),
             replica=rep)
         _assert_marks_match_layout(m.q, traj, lambda traj, jr: np.zeros(1))
@@ -568,19 +608,41 @@ def test_sim_config_validation():
             s.SimConfig(horizon=bad, dt=0.1)
     with pytest.raises(ValueError):
         s.SimConfig(horizon=1.0, dt=0.1, scheme="magic")
+    for bad in ("abc", [3], math.nan, math.inf):
+        with pytest.raises(ValueError, match="truncation"):
+            s.SimConfig(horizon=1.0, dt=0.1, truncation=bad)
+    assert s.SimConfig(horizon=1.0, dt=0.1, truncation=2.5).truncation == 2.5
+
+
+def _overflowing_model(state_independent=False):
+    return s.ModelSpec(dim=1,
+                       drift=lambda t, x, i: 1e308 * np.asarray(x, float),
+                       diffusion=lambda t, x, i: 0.0,
+                       q=s.QMatrixSpec(rate=lambda x, i, j: 0.0, kappa=1,
+                                       state_independent=state_independent),
+                       growth_c=lambda t: 1.0,
+                       dissipativity_c=lambda t, i: 1.0,
+                       diffusion_mod_c=lambda t, i: 1.0,
+                       ellipticity_lambda=lambda t: 1.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_frozen_path_blowup_raises():
-    m = s.ModelSpec(dim=1,
-                    drift=lambda t, x, i: 1e308 * np.asarray(x, float),
-                    diffusion=lambda t, x, i: 0.0,
-                    q=s.QMatrixSpec(rate=lambda x, i, j: 0.0, kappa=1),
-                    growth_c=lambda t: 1.0, dissipativity_c=lambda t, i: 1.0,
-                    diffusion_mod_c=lambda t, i: 1.0,
-                    ellipticity_lambda=lambda t: 1.0)
     with pytest.raises(s.NumericalBlowupError) as exc:
-        s.simulate_path(m, [1.0], 1, cfg(T=0.5, dt=0.1))
+        s.simulate_path(_overflowing_model(), [1.0], 1, cfg(T=0.5, dt=0.1))
     # x = 1e307 after the first step; the second step's drift overflows
     assert exc.value.t == 0.2
     assert exc.value.regime == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("scheme", [s.FROZEN_RATE, s.EVENT_DRIVEN])
+def test_path_blowup_reports_where_it_died(scheme):
+    # the event-driven runner keeps stepping a dead row to the horizon; the
+    # recorded path still reports the first state that is not finite
+    with pytest.raises(s.NumericalBlowupError) as exc:
+        s.simulate_path(_overflowing_model(state_independent=True), [1.0], 1,
+                        cfg(T=0.5, dt=0.1, scheme=scheme))
+    assert exc.value.t == 0.2
+    assert exc.value.regime == 1
+    assert not np.isfinite(exc.value.x).all()
