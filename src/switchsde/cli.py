@@ -13,9 +13,11 @@ Subcommands map one-to-one to the checkers and the simulator::
 
 Every run reads one JSON scenario config (see ``config``), accepts
 ``--seed/--replicas/--dt/--threads`` overrides, writes JSON-lines report
-records stamped with the config hash, and exits 0 only when every pass flag
-in the run is true. Exit codes: 2 config error, 3 model-assumption failure
-(witness printed), 4 numerical blowup, 1 failed checks.
+records stamped with the config hash. Reading the config, the assumption
+gate and the run share one error handler. A run that writes ``summary``
+records is judged by them, any other run by all of its records: exit 0 when
+every one passes, 1 otherwise. Exit codes for failures: 2 config error, 3
+model-assumption failure (witness printed), 4 numerical blowup.
 """
 
 from __future__ import annotations
@@ -47,8 +49,10 @@ _GATES = {
 }
 
 
-def _function_from_task(task: dict, dim: int):
+def _function_from_task(task: dict):
     spec = task.get("f", {"name": "gauss"})
+    if not isinstance(spec, dict):
+        raise ConfigError(f"task.f must be a JSON object, got {spec!r}")
     name = spec.get("name", "gauss")
     if name == "gauss":
         return est.gauss_function(scale=spec.get("scale", 1.0),
@@ -61,20 +65,18 @@ def _function_from_task(task: dict, dim: int):
                       "have gauss, indicator_x1, one")
 
 
-def _gate(model, subcommand) -> int:
+def _gate(model, subcommand) -> None:
     names = _GATES.get(subcommand)
     if not names:
-        return 0
+        return
     plan = SamplingPlan(n_pairs=2048, n_rate_pairs=64, max_regime=10)
     report = check_assumptions(model, plan)
     for name in names:
         res = report.results.get(name)
         if res is not None and not res.passed:
-            print(f"assumption {name} failed "
-                  f"(violation {res.max_violation:.3e}); witness: {res.witness}",
-                  file=sys.stderr)
-            return 3
-    return 0
+            raise InvalidModelError(
+                f"assumption {name} failed (violation "
+                f"{res.max_violation:.3e}); witness: {res.witness}")
 
 
 def _write_outputs(cfg: ScenarioConfig, records: list[dict],
@@ -94,7 +96,7 @@ def _write_outputs(cfg: ScenarioConfig, records: list[dict],
             rep.emit_plot_data(plottable, outdir / out["plot_data"])
 
 
-def _run_simulate(model, cfg, sim, task, digest):
+def _run_simulate(model, sim, task, digest):
     x0 = task.get("x0", [0.0] * model.dim)
     i0 = int(task.get("i0", 1))
     traj = simulate_path(model, x0, i0, sim)
@@ -104,10 +106,10 @@ def _run_simulate(model, cfg, sim, task, digest):
                            "tau_k": traj.tau_k, "n_samples": len(traj.times),
                            "n_jumps": len(traj.jumps)},
                           None, None, None, None, True, digest, sim.seed)]
-    return 0, records, traj
+    return records, traj
 
 
-def _run_jump_lipschitz(model, cfg, sim, task, digest):
+def _run_jump_lipschitz(model, sim, task, digest):
     sweep = est.displacement_lipschitz_sweep(
         n_cases=int(task.get("cases", 1000)), seed=sim.seed,
         p_values=tuple(task.get("p_values", (1.0, 2.0))),
@@ -117,40 +119,34 @@ def _run_jump_lipschitz(model, cfg, sim, task, digest):
                           r["lhs"], r["rhs"], 0.0, r["margin"], r["passed"],
                           digest, sim.seed)
                for r in sweep]
-    ok = all(r["passed"] for r in sweep)
-    return (0 if ok else 1), records, None
+    return records, None
 
 
-def _run_moments(model, cfg, sim, task, digest):
+def _run_moments(model, sim, task, digest):
     x0 = task.get("x0", [0.0] * model.dim)
     i0 = int(task.get("i0", 1))
     records = []
-    ok = True
     for T in task.get("T_values", (0.25, 0.5, 1.0)):
         r = est.moment_bound_check(model, x0, i0, float(T), sim.replicas, sim,
-                                   c1=float(task.get("c1", 3.0)),
                                    threads=sim.threads)
-        ok &= r.passed
         records.append(rep.from_bound_report(r, digest, sim.seed))
-    return (0 if ok else 1), records, None
+    return records, None
 
 
-def _run_holding(model, cfg, sim, task, digest):
+def _run_holding(model, sim, task, digest):
     x0 = task.get("x0", [0.0] * model.dim)
     t_grid = task.get("t_grid", (0.1, 0.25, 0.5, 0.75, 1.0))
     records = []
-    ok = True
     for K in task.get("K_values", (3, 5)):
         for k in task.get("k_values", range(1, int(K) + 1)):
             for r in est.holding_time_check(model, x0, int(k), int(K), t_grid,
                                             sim.replicas, sim,
                                             threads=sim.threads):
-                ok &= r.passed
                 records.append(rep.from_bound_report(r, digest, sim.seed))
-    return (0 if ok else 1), records, None
+    return records, None
 
 
-def _run_harnack(model, cfg, sim, task, digest):
+def _run_harnack(model, sim, task, digest):
     reports = est.harnack_sweep(
         model, int(task.get("cases", 200)), sim.replicas, sim,
         threads=sim.threads, T_choices=tuple(task.get("T_values", (0.25, 0.5, 1.0))),
@@ -161,11 +157,11 @@ def _run_harnack(model, cfg, sim, task, digest):
     records.append(rep.record("summary", model.model_id, summary,
                               summary["pass_rate"], summary["cases"], None,
                               None, summary["ok"], digest, sim.seed))
-    return (0 if summary["ok"] else 1), records, None
+    return records, None
 
 
-def _run_feller(model, cfg, sim, task, digest):
-    f = _function_from_task(task, model.dim)
+def _run_feller(model, sim, task, digest):
+    f = _function_from_task(task)
     x0 = task.get("x0", [0.0] * model.dim)
     i0 = int(task.get("i0", 1))
     t = float(task.get("t", 1.0))
@@ -189,10 +185,10 @@ def _run_feller(model, cfg, sim, task, digest):
                for g in gaps]
     records.append(rep.record("summary", model.model_id, summary, None, None,
                               None, None, ok, digest, sim.seed))
-    return (0 if ok else 1), records, None
+    return records, None
 
 
-def _run_chain_marginal(model, cfg, sim, task, digest):
+def _run_chain_marginal(model, sim, task, digest):
     times = [float(t) for t in task.get("times", (0.5, 1.0, 2.0))]
     mc = est.chain_marginal_check(model, times, sim.replicas, sim,
                                   threads=sim.threads,
@@ -208,20 +204,18 @@ def _run_chain_marginal(model, cfg, sim, task, digest):
                               {"entries": mc.entries, "within": mc.within,
                                "fraction": mc.fraction_within},
                               None, None, None, None, ok, digest, sim.seed))
-    return (0 if ok else 1), records, None
+    return records, None
 
 
-def _run_truncation(model, cfg, sim, task, digest):
+def _run_truncation(model, sim, task, digest):
     x0 = task.get("x0", [0.0] * model.dim)
     i0 = int(task.get("i0", 1))
     t = float(task.get("t", sim.horizon))
     records = []
-    ok = True
     for K in task.get("K_values", (6,)):
         for case in range(int(task.get("compare_cases", 10))):
             res = est.truncation_identity_check(
                 model, x0, i0, int(K), replace(sim, seed=sim.seed + case))
-            ok &= res["identical"]
             records.append(rep.record(
                 "truncation", model.model_id,
                 {"K": int(K), "case": case, "tau_k": res["tau_k"],
@@ -231,9 +225,8 @@ def _run_truncation(model, cfg, sim, task, digest):
         r = est.truncation_exit_bound_check(model, x0, i0, int(K), t,
                                             sim.replicas, sim,
                                             threads=sim.threads)
-        ok &= r.passed
         records.append(rep.from_bound_report(r, digest, sim.seed))
-    return (0 if ok else 1), records, None
+    return records, None
 
 
 _RUNNERS = {
@@ -272,15 +265,9 @@ def run(subcommand: str, config_path, *, seed=None, replicas=None, dt=None,
         model = build_model(cfg)
         sim = build_sim(cfg, seed=seed, replicas=replicas, dt=dt,
                         threads=threads)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    gate = _gate(model, subcommand)
-    if gate:
-        return gate
-    digest = config_hash(cfg)
-    try:
-        code, records, traj = _RUNNERS[subcommand](model, cfg, sim, task, digest)
+        _gate(model, subcommand)
+        records, traj = _RUNNERS[subcommand](model, sim, task, config_hash(cfg))
+        _write_outputs(cfg, records, traj)
     except NumericalBlowupError as exc:
         print(f"numerical blowup: {exc}", file=sys.stderr)
         return 4
@@ -288,11 +275,12 @@ def run(subcommand: str, config_path, *, seed=None, replicas=None, dt=None,
         print(f"model failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, TypeError) as exc:
-        # an unsupported scheme, or task inputs such as x0 or i0 that the
-        # model cannot take (a non-numeric point, a regime outside the space)
+        # a ConfigError, an unsupported scheme, or an x0 or i0 the model
+        # cannot take (a non-numeric point, a regime outside the space)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    _write_outputs(cfg, records, traj)
+    judged = [r for r in records if r["checker"] == "summary"] or records
+    code = 0 if all(r["pass"] for r in judged) else 1
     n_pass = sum(1 for r in records if r.get("pass"))
     print(f"{subcommand}: {n_pass}/{len(records)} records pass; exit {code}")
     return code
@@ -300,12 +288,9 @@ def run(subcommand: str, config_path, *, seed=None, replicas=None, dt=None,
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    code = run(args.subcommand, args.config, seed=args.seed,
+    return run(args.subcommand, args.config, seed=args.seed,
                replicas=args.replicas, dt=args.dt, threads=args.threads)
-    if argv is None:
-        sys.exit(code)
-    return code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -41,7 +41,7 @@ _OUTPUT_KEYS = {"dir", "reports", "trajectory", "trajectory_binary", "plot_data"
 TASK_KEYS = {
     "simulate": {"x0", "i0"},
     "jump-lipschitz": {"cases", "i_max", "p_values", "dim"},
-    "moments": {"x0", "i0", "T_values", "c1"},
+    "moments": {"x0", "i0", "T_values"},
     "holding": {"x0", "k_values", "K_values", "t_grid"},
     "harnack": {"cases", "T_values", "x_radius", "min_pass_rate"},
     "feller": {"x0", "i0", "t", "radii", "f", "mode", "floor"},
@@ -89,8 +89,13 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    """Parse the UTF-8 file at ``path``; an unreadable one is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    return parse_config(text)
 
 
 def render_config(cfg: ScenarioConfig) -> str:

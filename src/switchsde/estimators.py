@@ -40,6 +40,10 @@ from .qmatrix import (DominatingChainSpec, as_point, displacement_lp_bound,
 BATCH_REPLICAS = 16384
 _SALT_FIRST_JUMP = 0x464A
 _HARNACK_F_FLOOR = 1e-6  # observables are clamped here before the log
+# a valid constant of the L1 maximal martingale inequality; the moment
+# envelope is increasing in it, so a larger value only loosens the bound and
+# a smaller one may make it invalid
+C1_MAXIMAL = 3.0
 
 
 # --- estimate containers ------------------------------------------------------
@@ -216,23 +220,21 @@ def first_jump_estimate(model: ModelSpec, f: Callable, t: float, x, i: int,
 
 # --- moment bound ----------------------------------------------------------------
 
-def second_moment_envelope(model: ModelSpec, x, i: int, T: float,
-                           c1: float = 3.0, *, drop_position_term: bool = False) -> float:
+def second_moment_envelope(model: ModelSpec, x, i: int, T: float, *,
+                           drop_position_term: bool = False) -> float:
     """Closed-form envelope for ``E[sup|X|^2 + sup Lambda^2]`` on [0, T]:
 
     ``(4/3 |x|^2 + 4 i^2) * exp((4 + 4/3 c1^2) int_0^T c(s) ds
     + 8 kappa^2 (alpha^2 + beta^2 + 2)(T+1) T)``
 
-    ``c1`` is any valid constant for the L1 maximal martingale inequality;
-    the envelope is monotone in it, so a conservative value only loosens the
-    bound. With ``drop_position_term`` the rate growth certificate is used in
-    its position-free form (beta = 0), which is the variant the truncation
-    exit bound is stated with.
+    with ``c1 = C1_MAXIMAL``. With ``drop_position_term`` the rate growth
+    certificate is used in its position-free form (beta = 0), which is the
+    variant the truncation exit bound is stated with.
     """
     q = model.q
     integral_c, _ = quad(model.growth_c, 0.0, T, limit=200)
     beta_sq = 0.0 if drop_position_term else q.linear_bound_beta ** 2
-    expo = ((4.0 + 4.0 / 3.0 * c1 * c1) * integral_c
+    expo = ((4.0 + 4.0 / 3.0 * C1_MAXIMAL * C1_MAXIMAL) * integral_c
             + 8.0 * q.kappa ** 2 * (q.linear_bound_alpha ** 2 + beta_sq + 2.0)
             * (T + 1.0) * T)
     lead = (4.0 / 3.0) * float(np.dot(as_point(x), as_point(x))) + 4.0 * i * i
@@ -241,8 +243,7 @@ def second_moment_envelope(model: ModelSpec, x, i: int, T: float,
 
 
 def moment_bound_check(model: ModelSpec, x, i: int, T: float, n: int,
-                       cfg: SimConfig, c1: float = 3.0,
-                       threads: int = 1) -> BoundReport:
+                       cfg: SimConfig, threads: int = 1) -> BoundReport:
     """Upper-bound check: MC estimate of ``sup|X|^2 + sup Lambda^2`` (running
     maxima over the sampled times) against the closed-form envelope.
     ``margin = rhs - (mean + 3 se)``."""
@@ -253,10 +254,10 @@ def moment_bound_check(model: ModelSpec, x, i: int, T: float, n: int,
                        track_xmax=True)
     lhs = mc_from_values(out["xnorm_max"][0] ** 2 + out["regime_max"][0] ** 2,
                          out["aborted"][0])
-    rhs = second_moment_envelope(model, x, i, T, c1)
+    rhs = second_moment_envelope(model, x, i, T)
     margin = rhs - (lhs.mean + 3.0 * lhs.stderr)
     return _bound_report("moments", lhs, rhs, margin, model=model.model_id,
-                         x=as_point(x).tolist(), i=i, T=T, c1=c1, n=n)
+                         x=as_point(x).tolist(), i=i, T=T, c1=C1_MAXIMAL, n=n)
 
 
 # --- holding-time bound -----------------------------------------------------------
@@ -579,7 +580,7 @@ def truncation_identity_check(model: ModelSpec, x0, i0: int, K: int,
 
 
 def truncation_exit_bound_check(model: ModelSpec, x0, i0: int, K: int, t: float,
-                                n: int, cfg: SimConfig, c1: float = 3.0,
+                                n: int, cfg: SimConfig,
                                 threads: int = 1) -> BoundReport:
     """Markov-type exit bound: empirical ``P(tau_K <= t)`` against the
     second-moment envelope divided by K (position-free rate certificate).
@@ -589,7 +590,7 @@ def truncation_exit_bound_check(model: ModelSpec, x0, i0: int, K: int, t: float,
     hit = out["tau_k"][0] <= t
     p_hat = float(hit.mean())
     se = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n)
-    rhs = second_moment_envelope(model, x0, i0, t, c1,
+    rhs = second_moment_envelope(model, x0, i0, t,
                                  drop_position_term=True) / K
     lhs = McEstimate(p_hat, se, n, int(out["aborted"][0].sum()))
     margin = rhs - (p_hat + 3.0 * se)

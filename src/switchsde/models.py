@@ -19,6 +19,7 @@ callbacks are black boxes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -141,6 +142,11 @@ class ModelSpec:
     model_id: str = "custom"
     advertised: frozenset = frozenset()
     linear_coeffs: Optional[Callable] = None
+
+    def __post_init__(self):
+        if (isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral)
+                or self.dim < 1):
+            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
 
     def u_class(self) -> UClassFn:
         return U_CLASSES[self.u_id]
@@ -401,10 +407,19 @@ HARNACK_PREREQUISITES = (
 
 # --- model zoo ---------------------------------------------------------------
 
+def _finite(name: str, value, ndim: int) -> np.ndarray:
+    """``value`` as an ``ndim``-d float array of finite numbers, or ValueError."""
+    arr = np.asarray(value)
+    if (arr.ndim != ndim or arr.dtype.kind not in "iuf"
+            or not np.isfinite(arr).all()):
+        raise ValueError(f"{name} must be {ndim}-d finite numbers: {value!r}")
+    return arr.astype(float)
+
+
 def _matrix_q(rates: np.ndarray) -> QMatrixSpec:
     """State-independent spec from an explicit off-diagonal rate table."""
-    R = np.asarray(rates, dtype=float)
-    n = len(R) if R.ndim else 0
+    R = _finite("rates", rates, 2)
+    n = len(R)
     if R.shape != (n, n):
         raise ValueError("rates must be a square matrix")
     off = R - np.diag(np.diag(R))
@@ -429,15 +444,15 @@ def linear_switching_model(*, dim=1, beta=(1.0, 2.0), a=(0.0, 0.0), s=(1.0, 1.0)
                            rates=None, model_id=None) -> ModelSpec:
     """Regime-wise linear model: drift ``-beta_i x + a_i``, diffusion
     ``s_i * I``, state-independent rates (default: all-ones off-diagonal)."""
-    beta = np.asarray(beta, dtype=float)
-    avec = np.asarray(a, dtype=float)
-    svec = np.asarray(s, dtype=float)
+    beta = _finite("beta", beta, 1)
+    avec = _finite("a", a, 1)
+    svec = _finite("s", s, 1)
     n = len(beta)
-    if not (len(avec) == len(svec) == n):
-        raise ValueError("beta, a, s must have equal length")
     if rates is None:
         rates = np.ones((n, n)) - np.eye(n)
     q = _matrix_q(rates)
+    if not (len(avec) == len(svec) == q.n_regimes == n):
+        raise ValueError("beta, a, s and rates must agree in length")
 
     def drift(t, x, i):
         return -beta[i - 1] * np.asarray(x, dtype=float) + avec[i - 1]
@@ -491,6 +506,8 @@ def _zoo_birth_death_switch(dim=1, sigma_scale=1.0):
     Row sums are ``2 i - 1``, so the regime-linear certificate holds with
     alpha = 2 and no position term.
     """
+    sigma_scale = float(_finite("sigma_scale", sigma_scale, 0))
+    growth = float(max(dim * sigma_scale * sigma_scale, 1.0))
 
     def rate(x, i, j):
         if j == i + 1:
@@ -507,18 +524,18 @@ def _zoo_birth_death_switch(dim=1, sigma_scale=1.0):
         return -np.asarray(x, dtype=float) / i
 
     def diffusion(t, x, i):
-        return float(sigma_scale)
+        return sigma_scale
 
     def lincoef(lam):
         lam = np.asarray(lam, dtype=np.int64)
-        return 1.0 / lam, np.zeros(len(lam)), np.full(len(lam), float(sigma_scale))
+        return 1.0 / lam, np.zeros(len(lam)), np.full(len(lam), sigma_scale)
 
     return ModelSpec(
         dim=dim, drift=drift, diffusion=diffusion, q=q,
-        growth_c=lambda t: float(max(dim * sigma_scale ** 2, 1.0)),
+        growth_c=lambda t: growth,
         dissipativity_c=lambda t, i: 1.0,
         diffusion_mod_c=lambda t, i: 1.0,
-        ellipticity_lambda=lambda t: float(abs(sigma_scale)),
+        ellipticity_lambda=lambda t: abs(sigma_scale),
         u_id="one", u_tilde_id="one",
         model_id=f"birth_death_switch(d={dim})",
         advertised=_ALL_CHECKS, linear_coeffs=lincoef)

@@ -17,33 +17,25 @@ CSV -- header ``time,regime,x0..x{d-1},event``; one row per sample time;
 ``event`` is 1 when a regime switch happened at that time. RFC-style quoting
 via the stdlib csv module.
 
-Binary -- little-endian throughout::
-
-    magic   8s   b"SWSDETRJ"
-    version u32  (currently 1)
-    dim     u32
-    seed    i64
-    hlen    u16  length of the config digest
-    digest  hlen bytes (ascii hex)
-    eta, tau_k, zeta   f64 x 3   (zeta stored as NaN when absent)
-    n_rows  u64
-    rows    n_rows * [u32 payload_len | f64 time, u32 regime, u8 event,
-                      dim * f64 x]
-    n_jumps u64
-    jumps   n_jumps * [f64 time, u32 src, u32 dst, f64 mark]
+Binary -- a numpy ``.npz`` archive (``np.savez``, read with
+``allow_pickle=False``) of the named arrays ``times`` (n,), ``x`` (n, d),
+``regime`` (n,), ``jumps`` (m, 4: time, src, dst, mark), ``markers`` (eta,
+tau_k, zeta; NaN for an absent zeta), and the scalars ``seed``, ``digest``
+(the config hash) and ``version`` (currently 1).
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import struct
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-_MAGIC = b"SWSDETRJ"
 _VERSION = 1
+_ARRAYS = ("version", "times", "x", "regime", "jumps", "markers", "seed",
+           "digest")
 
 
 @dataclass(frozen=True)
@@ -80,18 +72,10 @@ class Trajectory:
             out[c] = np.interp(t, self.times, self.x[:, c])
         return out
 
-    def event_flags(self) -> np.ndarray:
-        flags = np.zeros(len(self.times), dtype=np.uint8)
-        jt = {j.time for j in self.jumps}
-        for k, t in enumerate(self.times):
-            if t in jt:
-                flags[k] = 1
-        return flags
-
     # -- CSV -----------------------------------------------------------------
 
     def to_csv(self, path) -> None:
-        flags = self.event_flags()
+        jump_times = {j.time for j in self.jumps}
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["time", "regime"]
@@ -99,63 +83,33 @@ class Trajectory:
             for k in range(len(self.times)):
                 w.writerow([repr(float(self.times[k])), int(self.regime[k])]
                            + [repr(float(v)) for v in self.x[k]]
-                           + [int(flags[k])])
+                           + [int(self.times[k] in jump_times)])
 
     # -- binary --------------------------------------------------------------
 
     def to_binary(self, path) -> None:
-        flags = self.event_flags()
-        digest = self.config_digest.encode("ascii")
-        zeta = math.nan if self.zeta is None else float(self.zeta)
+        zeta = math.nan if self.zeta is None else self.zeta
+        jumps = np.array([(j.time, j.src, j.dst, j.mark) for j in self.jumps],
+                         dtype=float).reshape(-1, 4)
         with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<II", _VERSION, self.dim))
-            fh.write(struct.pack("<q", int(self.seed)))
-            fh.write(struct.pack("<H", len(digest)))
-            fh.write(digest)
-            fh.write(struct.pack("<ddd", float(self.eta), float(self.tau_k), zeta))
-            fh.write(struct.pack("<Q", len(self.times)))
-            payload_fmt = "<dIB" + "d" * self.dim
-            for k in range(len(self.times)):
-                payload = struct.pack(payload_fmt, float(self.times[k]),
-                                      int(self.regime[k]), int(flags[k]),
-                                      *map(float, self.x[k]))
-                fh.write(struct.pack("<I", len(payload)))
-                fh.write(payload)
-            fh.write(struct.pack("<Q", len(self.jumps)))
-            for j in self.jumps:
-                fh.write(struct.pack("<dIId", float(j.time), int(j.src),
-                                     int(j.dst), float(j.mark)))
+            np.savez(fh, version=_VERSION, times=self.times, x=self.x,
+                     regime=self.regime, jumps=jumps,
+                     markers=np.array([self.eta, self.tau_k, zeta], dtype=float),
+                     seed=np.int64(self.seed), digest=self.config_digest)
 
 
 def from_binary(path) -> Trajectory:
-    with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise ValueError(f"{path} is not a trajectory file")
-        version, dim = struct.unpack("<II", fh.read(8))
-        if version != _VERSION:
-            raise ValueError(f"unsupported trajectory version {version}")
-        (seed,) = struct.unpack("<q", fh.read(8))
-        (hlen,) = struct.unpack("<H", fh.read(2))
-        digest = fh.read(hlen).decode("ascii")
-        eta, tau_k, zeta = struct.unpack("<ddd", fh.read(24))
-        (n_rows,) = struct.unpack("<Q", fh.read(8))
-        times = np.empty(n_rows)
-        x = np.empty((n_rows, dim))
-        regime = np.empty(n_rows, dtype=np.int64)
-        payload_fmt = "<dIB" + "d" * dim
-        for k in range(n_rows):
-            (plen,) = struct.unpack("<I", fh.read(4))
-            rec = struct.unpack(payload_fmt, fh.read(plen))
-            times[k] = rec[0]
-            regime[k] = rec[1]
-            x[k] = rec[3:]
-        (n_jumps,) = struct.unpack("<Q", fh.read(8))
-        jumps = []
-        for _ in range(n_jumps):
-            t, src, dst, mark = struct.unpack("<dIId", fh.read(24))
-            jumps.append(JumpRecord(t, src, dst, mark))
-    return Trajectory(times=times, x=x, regime=regime, jumps=jumps,
-                      eta=eta, tau_k=tau_k,
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            a = {name: data[name] for name in _ARRAYS}
+    except (ValueError, TypeError, KeyError, EOFError, zipfile.BadZipFile):
+        raise ValueError(f"{path} is not a trajectory file") from None
+    if a["version"] != _VERSION:
+        raise ValueError(f"unsupported trajectory version {a['version']}")
+    eta, tau_k, zeta = a["markers"].tolist()
+    jumps = [JumpRecord(t, int(src), int(dst), mark)
+             for t, src, dst, mark in a["jumps"].tolist()]
+    return Trajectory(times=a["times"], x=a["x"], regime=a["regime"],
+                      jumps=jumps, eta=eta, tau_k=tau_k,
                       zeta=None if math.isnan(zeta) else zeta,
-                      seed=seed, config_digest=digest)
+                      seed=int(a["seed"]), config_digest=str(a["digest"]))

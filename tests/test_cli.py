@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import switchsde as s
+from switchsde import estimators as est
 from switchsde.cli import run
 from switchsde.config import (TASK_KEYS, build_model, build_sim, config_hash,
                               parse_config, render_config, validate_task)
@@ -112,24 +113,71 @@ _CONFIGS = _section(
                      "plot_data"}))
 
 
+# zoo parameters a builder used to store unchecked, so that the model built
+# and failed only when first evaluated
+BAD_ZOO_PARAMS = [
+    ("birth_death_switch", {"dim": None}),
+    ("birth_death_switch", {"dim": "x"}),
+    ("birth_death_switch", {"dim": 0}),
+    ("birth_death_switch", {"dim": -1}),
+    ("birth_death_switch", {"dim": 1.5}),
+    ("birth_death_switch", {"dim": True}),
+    ("birth_death_switch", {"sigma_scale": "abc"}),
+    ("birth_death_switch", {"sigma_scale": math.nan}),
+    ("switching_ou", {"dim": 0}),
+    ("switching_ou", {"dim": 2.5}),
+    ("degenerate_regime", {"dim": 0}),
+    ("degenerate_regime", {"dim": 2.5}),
+    ("switching_ou", {"rates": [[0.0, math.nan], [1.0, 0.0]]}),
+    ("switching_ou", {"s": [1.0, math.nan]}),
+    ("switching_ou", {"rates": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}),
+]
+
+
+def _pin_bad_zoo_params(test):
+    for zoo, params in BAD_ZOO_PARAMS:
+        test = example(raw={"model": {"zoo": zoo, "params": params}})(test)
+    return test
+
+
+_TINY_PLAN = s.SamplingPlan(n_pairs=4, n_rate_pairs=2, max_regime=2,
+                            times=(0.0,))
+
+
 @settings(max_examples=200, deadline=None)
 @given(raw=_CONFIGS)
 @example(raw={"model": {"zoo": "switching_ou", "params": {"rates": False}}})
 @example(raw={"model": {"zoo": "degenerate_regime",
                         "params": {"dim": 10 ** 400}},
               "sim": {"seed": math.inf}})
+@_pin_bad_zoo_params
 def test_config_layer_raises_only_config_errors(raw):
-    # nothing is simulated: parsing, task validation and model/sim building
+    # parsing, task validation and model/sim building; a model that builds
+    # is evaluated once by the assumption checks (small dimensions only, so
+    # a random huge dim allocates nothing)
     try:
         cfg = parse_config(json.dumps(raw))
     except s.ConfigError:
         return
     stages = [lambda sub=sub: validate_task(cfg, sub) for sub in TASK_KEYS]
-    for stage in (*stages, lambda: build_model(cfg), lambda: build_sim(cfg)):
+    for stage in (*stages, lambda: build_sim(cfg)):
         try:
             stage()
         except s.ConfigError:
             pass
+    try:
+        model = build_model(cfg)
+    except s.ConfigError:
+        return
+    if model.dim <= 4:
+        s.check_assumptions(model, _TINY_PLAN)
+
+
+@pytest.mark.parametrize("zoo, params", BAD_ZOO_PARAMS)
+def test_bad_zoo_params_rejected_at_build(zoo, params):
+    cfg = parse_config(json.dumps({"model": {"zoo": zoo, "params": params}}))
+    with pytest.raises(s.ConfigError, match="bad model"):
+        build_model(cfg)
 
 
 # --- report layer -----------------------------------------------------------------
@@ -171,16 +219,16 @@ def test_emit_plot_data_families(tmp_path):
 
 def test_simulate_writes_deterministic_csv(tmp_path):
     cfg = with_task(BASE, "simulate", {"x0": [0.2], "i0": 1},
-                    dir=str(tmp_path / "o1"), trajectory="traj.csv",
+                    dir=str(tmp_path / "o"), trajectory="traj.csv",
                     trajectory_binary="traj.bin")
-    code = run("simulate", write_config(tmp_path, cfg))
-    assert code == 0
-    first = (tmp_path / "o1" / "traj.csv").read_bytes()
-    cfg["output"]["dir"] = str(tmp_path / "o2")
-    code = run("simulate", write_config(tmp_path, cfg, "s2.json"))
-    assert code == 0
-    assert first == (tmp_path / "o2" / "traj.csv").read_bytes()
-    traj = s.from_binary(tmp_path / "o1" / "traj.bin")
+    path = write_config(tmp_path, cfg)
+    outputs = []
+    for _ in range(2):
+        assert run("simulate", path) == 0
+        outputs.append([(tmp_path / "o" / name).read_bytes()
+                        for name in ("traj.csv", "traj.bin")])
+    assert outputs[0] == outputs[1]
+    traj = s.from_binary(tmp_path / "o" / "traj.bin")
     assert traj.seed == 3131
 
 
@@ -231,6 +279,26 @@ def test_config_error_exit_code(tmp_path):
     assert run("simulate", path) == 2
     bad = with_task(BASE, "simulate", {"nope": 1})
     assert run("simulate", write_config(tmp_path, bad, "bad.json")) == 2
+
+
+@pytest.mark.parametrize("content", [None, "dir", b"\xff\xfe{"])
+def test_unreadable_config_exit_code(tmp_path, capsys, content):
+    path = tmp_path / "scenario.json"
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    assert run("simulate", path) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(path) in err
+
+
+@pytest.mark.parametrize("spec", ["gauss", [], 3])
+def test_observable_spec_must_be_object(tmp_path, capsys, spec):
+    cfg = with_task(BASE, "feller", {"f": spec, "radii": [0.1]},
+                    dir=str(tmp_path / "o"))
+    assert run("feller", write_config(tmp_path, cfg)) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_nonfinite_sim_values_exit_code(tmp_path, capsys):
@@ -298,3 +366,63 @@ def test_main_returns_exit_code(tmp_path):
                     dir=str(tmp_path / "m"))
     path = write_config(tmp_path, cfg)
     assert main(["simulate", "--config", str(path)]) == 0
+
+
+# --- the exit code is read from the records ---------------------------------------
+
+_BD = {"zoo": "birth_death_switch"}
+_OU = {"zoo": "switching_ou"}
+SMALL_RUNS = {
+    "simulate": (_BD, {"x0": [0.2], "i0": 1}),
+    "jump-lipschitz": (_BD, {"cases": 50}),
+    "moments": (_BD, {"x0": [0.5], "i0": 1, "T_values": [0.25, 0.5]}),
+    "holding": (_BD, {"x0": [0.0], "K_values": [3], "t_grid": [0.1, 0.5]}),
+    "harnack": (_OU, {"cases": 4, "T_values": [0.25, 0.5]}),
+    "feller": (_BD, {"x0": [0.0], "i0": 1, "t": 0.5, "radii": [0.5, 0.1]}),
+    "chain-marginal": (_OU, {"times": [0.25, 0.5]}),
+    "truncation-check": (_BD, {"x0": [0.2], "i0": 2, "K_values": [6],
+                               "compare_cases": 2}),
+}
+
+
+def small_run(tmp_path, sub, task=None):
+    model, default_task = SMALL_RUNS[sub]
+    cfg = {"model": model,
+           "sim": {"T": 0.5, "dt": 0.01, "seed": 11,
+                   "scheme": "event_driven_exact", "replicas": 500},
+           "task": default_task if task is None else task,
+           "output": {"dir": str(tmp_path / "o")}}
+    code = run(sub, write_config(tmp_path, cfg))
+    return code, read_jsonl(tmp_path / "o" / "reports.jsonl")
+
+
+def expected_code(records):
+    judged = [r for r in records if r["checker"] == "summary"] or records
+    return 0 if all(r["pass"] for r in judged) else 1
+
+
+@pytest.mark.parametrize("sub", sorted(SMALL_RUNS))
+def test_exit_code_follows_the_records(tmp_path, sub):
+    code, records = small_run(tmp_path, sub)
+    assert records
+    assert code == expected_code(records)
+
+
+def test_failed_summary_exits_one(tmp_path):
+    # at this seed every entry lies within 3 se, yet no fraction reaches a
+    # bar above 1
+    code, records = small_run(tmp_path, "chain-marginal",
+                              {"times": [0.5], "min_fraction": 1.5})
+    assert code == 1
+    assert not records[-1]["pass"]
+    assert all(r["pass"] for r in records if r["checker"] != "summary")
+
+
+def test_failed_record_exits_one(tmp_path, monkeypatch):
+    def failing(model, x, i, T, n, cfg, threads=1):
+        return est.BoundReport("moments", est.McEstimate(2.0, 0.1, n), 1.0,
+                               -1.3, False, {"model": model.model_id, "T": T})
+    monkeypatch.setattr(est, "moment_bound_check", failing)
+    code, records = small_run(tmp_path, "moments")
+    assert code == 1
+    assert [r["pass"] for r in records] == [False, False]

@@ -2,6 +2,7 @@ import csv
 import math
 
 import numpy as np
+import pytest
 
 import switchsde as s
 from switchsde.trajectory import JumpRecord, Trajectory, from_binary
@@ -68,3 +69,20 @@ def test_binary_rejects_garbage(tmp_path):
         assert "not a trajectory" in str(exc)
     else:
         raise AssertionError("expected ValueError")
+
+
+def test_binary_rejects_other_archives_and_versions(tmp_path):
+    other = tmp_path / "other.bin"
+    with open(other, "wb") as fh:
+        np.savez(fh, times=np.zeros(3))
+    with pytest.raises(ValueError, match="not a trajectory"):
+        from_binary(other)
+    path = tmp_path / "traj.bin"
+    sample_traj().to_binary(path)
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays["version"] = np.int64(2)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(ValueError, match="unsupported trajectory version 2"):
+        from_binary(path)
