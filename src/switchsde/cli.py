@@ -79,11 +79,21 @@ def _gate(model, subcommand) -> None:
                 f"{res.max_violation:.3e}); witness: {res.witness}")
 
 
-def _write_outputs(cfg: ScenarioConfig, records: list[dict],
+def _output_dir(cfg: ScenarioConfig) -> Path:
+    """Create the output directory before any work; one that cannot be made
+    is a ConfigError naming it."""
+    outdir = Path(cfg.output.get("dir", "out"))
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {outdir}: "
+                          f"{exc}") from None
+    return outdir
+
+
+def _write_outputs(cfg: ScenarioConfig, outdir: Path, records: list[dict],
                    traj: Trajectory | None = None) -> None:
     out = cfg.output
-    outdir = Path(out.get("dir", "out"))
-    outdir.mkdir(parents=True, exist_ok=True)
     rep.write_jsonl(outdir / out.get("reports", "reports.jsonl"), records)
     if traj is not None:
         if out.get("trajectory"):
@@ -162,23 +172,23 @@ def _run_harnack(model, sim, task, digest):
 
 def _run_feller(model, sim, task, digest):
     f = _function_from_task(task)
+    mode = task.get("mode", "trend")
+    if mode not in ("trend", "floor"):
+        raise ConfigError(f"unknown feller mode {mode!r}; have trend, floor")
+    floor = float(task.get("floor", 0.05))
     x0 = task.get("x0", [0.0] * model.dim)
     i0 = int(task.get("i0", 1))
     t = float(task.get("t", 1.0))
     radii = [float(r) for r in task.get("radii", (0.5, 0.1, 0.01, 1e-3))]
     gaps = est.feller_modulus(model, f, t, x0, i0, radii, sim.replicas, sim,
                               threads=sim.threads)
-    mode = task.get("mode", "trend")
     if mode == "trend":
         ok = est.gap_trend_pass(gaps)
         summary = {"mode": mode, "trend_decreasing": ok}
-    elif mode == "floor":
-        cert = est.discontinuity_certificate(gaps,
-                                             floor=float(task.get("floor", 0.05)))
+    else:
+        cert = est.discontinuity_certificate(gaps, floor=floor)
         ok = cert["certified"]
         summary = {"mode": mode, **cert}
-    else:
-        raise ConfigError(f"unknown feller mode {mode!r}")
     records = [rep.record("feller", model.model_id,
                           {"radius": g.radius, "t": t},
                           g.gap, None, g.stderr, None, True, digest, sim.seed)
@@ -266,17 +276,19 @@ def run(subcommand: str, config_path, *, seed=None, replicas=None, dt=None,
         sim = build_sim(cfg, seed=seed, replicas=replicas, dt=dt,
                         threads=threads)
         _gate(model, subcommand)
+        outdir = _output_dir(cfg)
         records, traj = _RUNNERS[subcommand](model, sim, task, config_hash(cfg))
-        _write_outputs(cfg, records, traj)
+        _write_outputs(cfg, outdir, records, traj)
     except NumericalBlowupError as exc:
         print(f"numerical blowup: {exc}", file=sys.stderr)
         return 4
     except InvalidModelError as exc:
         print(f"model failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError) as exc:
-        # a ConfigError, an unsupported scheme, or an x0 or i0 the model
-        # cannot take (a non-numeric point, a regime outside the space)
+    except (ValueError, TypeError, OverflowError) as exc:
+        # a ConfigError, an unsupported scheme, an x0 or i0 the model cannot
+        # take (a non-numeric point, a regime outside the space), or a task
+        # number that JSON read as an infinity
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     judged = [r for r in records if r["checker"] == "summary"] or records

@@ -265,6 +265,21 @@ def _holding_times(E, totals):
     return np.divide(E, totals, out=np.full(len(E), np.inf), where=totals > 0)
 
 
+def _skeleton_switch(layout, keys, jump_ctr, lam, idx):
+    """Switch rows ``idx`` of an exact skeleton out of regimes ``lam[idx]``.
+
+    The mark's uniform sits on ``LANE_JUMP`` at the row's jump counter and the
+    next clock's exponential at counter + 1; the counters advance by 2.
+    Returns the destinations, the next holding times and the uniforms.
+    """
+    kk, ctr = keys[idx], jump_ctr[idx]
+    U = keyed_uniform(kk, LANE_JUMP, ctr)
+    E = keyed_exponential(kk, LANE_JUMP, ctr + np.uint64(1))
+    jump_ctr[idx] = ctr + np.uint64(2)
+    new = _destinations(layout, lam[idx], U)
+    return new, _holding_times(E, _regime_totals(layout, new)), U
+
+
 def first_switch_times(q: QMatrixSpec, i0: int, keys: np.ndarray) -> np.ndarray:
     """First switching times ``E_0 / q_{i0}`` (jump-lane index 0) of the
     replica ``keys`` under state-independent rates: both runners' first clock."""
@@ -278,9 +293,9 @@ def run_chain(q: QMatrixSpec, i0: int, T: float, stream: NoiseStream,
     """Vectorized skeleton-only simulation of a state-independent chain.
 
     Returns the regimes at ``T`` and, per mark time, the regime at that time
-    (right-continuous: a switch at the mark counts). Uses the same jump-lane
-    addressing as the full runner, so the skeletons agree bit-for-bit; each
-    pass draws marks and clocks for the switching replicas only.
+    (right-continuous: a switch at the mark counts). Switches go through
+    ``_skeleton_switch`` as in the full runner, so the skeletons agree
+    bit-for-bit; each pass draws for the switching replicas only.
     """
     if not q.state_independent:
         raise UnsupportedSchemeError("chain-only simulation needs "
@@ -295,17 +310,14 @@ def run_chain(q: QMatrixSpec, i0: int, T: float, stream: NoiseStream,
     nxt = first_switch_times(q, i0, keys)
 
     while (jr := np.flatnonzero(nxt <= T)).size:
-        U = keyed_uniform(keys[jr], LANE_JUMP, jump_ctr[jr])
-        E = keyed_exponential(keys[jr], LANE_JUMP, jump_ctr[jr] + np.uint64(1))
-        jump_ctr[jr] += np.uint64(2)
-        new = _destinations(layout, lam[jr], U)
+        new, hold, _ = _skeleton_switch(layout, keys, jump_ctr, lam, jr)
         lam[jr] = new
         s = nxt[jr]
         # switch times only grow, so the last pass at or before a mark wins
         for mi, tm in enumerate(marks):
             hit = s <= tm
             lam_at[mi, jr[hit]] = new[hit]
-        nxt[jr] = s + _holding_times(E, _regime_totals(layout, new))
+        nxt[jr] = s + hold
     return {"regime": lam, "regime_at": lam_at}
 
 
@@ -393,11 +405,7 @@ def run_event_driven(model: ModelSpec, x0, i0: int, T: float, dt: float,
             jidx = np.flatnonzero(seg == next_jump)
             if not jidx.size:
                 break  # every replica reached t1 without a pending switch
-            U = keyed_uniform(keys[jidx], LANE_JUMP, jump_ctr[jidx])
-            E = keyed_exponential(keys[jidx], LANE_JUMP,
-                                  jump_ctr[jidx] + np.uint64(1))
-            jump_ctr[jidx] += np.uint64(2)
-            new_j = _destinations(layout, lam[jidx], U)
+            new_j, hold, U = _skeleton_switch(layout, keys, jump_ctr, lam, jidx)
             if record:
                 src = int(lam[0])
                 rows.jumps.append(JumpRecord(float(seg[0]), src, int(new_j[0]),
@@ -407,8 +415,7 @@ def run_event_driven(model: ModelSpec, x0, i0: int, T: float, dt: float,
             if lincoef is not None:
                 co_beta[jidx], co_a[jidx], co_s[jidx] = lincoef(new_j)
             rows.observe(jidx, seg[jidx])
-            next_jump[jidx] = seg[jidx] + _holding_times(
-                E, _regime_totals(layout, new_j))
+            next_jump[jidx] = seg[jidx] + hold
     return rows.result()
 
 

@@ -29,12 +29,11 @@ from .engine import (EVENT_DRIVEN, FROZEN_RATE, DEFAULT_SEED, SimConfig,
                      first_switch_times, run_chain, run_event_driven,
                      run_frozen, simulate_path, simulate_truncated)
 from .errors import InvalidModelError, UnsupportedSchemeError
-from .markov import (chain_generator_matrix, holding_probability,
-                     transition_matrix)
+from .markov import chain_generator_matrix, transition_matrix
 from .models import (HARNACK_PREREQUISITES, ModelSpec, SamplingPlan,
                      check_assumptions)
 from .noise import NoiseStream
-from .qmatrix import (DominatingChainSpec, as_point, displacement_lp_bound,
+from .qmatrix import (as_point, displacement_lp_bound,
                       displacement_lp_distance, random_banded_q)
 
 BATCH_REPLICAS = 16384
@@ -262,13 +261,23 @@ def moment_bound_check(model: ModelSpec, x, i: int, T: float, n: int,
 
 # --- holding-time bound -----------------------------------------------------------
 
-def holding_probability_floor(model: ModelSpec, k: int, K: int, t: float) -> float:
-    """``exp(-(min(kappa, k-1) + kappa) * alpha * K * t)`` -- the dominating
-    chain's survival probability, a floor for P(no switch by t) whenever
-    ``k <= K``."""
+def holding_probability_floor(model: ModelSpec, k: int, K: int, t):
+    """``exp(-(min(kappa, k-1) + kappa) * alpha * K * t)``, a floor for
+    P(no switch by t) whenever ``k <= K``.
+
+    It is the survival in ``k`` of the dominating chain that jumps to each
+    in-band regime ``j >= 1`` at the uniform ceiling ``alpha * K``, whose
+    exit rates dominate those of any banded matrix with row sums
+    ``q_i <= alpha * i`` on the regimes ``i <= K``. ``t`` may be a scalar
+    (float result) or an array.
+    """
     q = model.q
-    return holding_probability(DominatingChainSpec(K, q.linear_bound_alpha,
-                                                   q.kappa), k, t)
+    alpha, kappa = q.linear_bound_alpha, q.kappa
+    if K < 1 or kappa < 1 or alpha < 0:
+        raise ValueError("need K >= 1, kappa >= 1, alpha >= 0")
+    exit_rate = (min(kappa, k - 1) + kappa) * alpha * K
+    out = np.exp(-exit_rate * np.asarray(t, float))
+    return out if out.ndim else float(out)
 
 
 def holding_time_check(model: ModelSpec, x, k: int, K: int,

@@ -1,14 +1,11 @@
 """The regime chain layer: dense generators and their closed-form oracles.
 
-``chain_generator_matrix`` builds a state-independent spec's generator on a
-finite window; ``transition_matrix`` is ``exp(t Q)``, the oracle for the Monte
-Carlo chain marginals; ``holding_probability`` is the dominating chain's
-survival, the holding-time check's floor.
+``chain_generator_matrix`` builds the generator of a finite
+state-independent spec; ``transition_matrix`` is ``exp(t Q)``, the oracle for
+the Monte Carlo chain marginals.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -18,19 +15,19 @@ from .errors import InvalidModelError, UnsupportedSchemeError
 DIM_CAP = 512
 
 
-def chain_generator_matrix(q, size: Optional[int] = None) -> np.ndarray:
-    """Dense conservative generator of a finite state-independent spec."""
+def chain_generator_matrix(q) -> np.ndarray:
+    """Dense conservative generator of a finite state-independent spec; row
+    ``i`` holds ``q.row`` at x = 0."""
     if not q.state_independent:
         raise UnsupportedSchemeError("need state-independent rates")
-    n = size or q.n_regimes
+    n = q.n_regimes
     if n is None:
         raise ValueError("need a finite regime count")
     zero = np.zeros(1)
     G = np.zeros((n, n))
     for i in range(1, n + 1):
-        for j in q.band(i):
-            if j <= n:
-                G[i - 1, j - 1] = float(q.rate(zero, i, j))
+        js, rates = q.row(zero, i)
+        G[i - 1, np.asarray(js, dtype=np.int64) - 1] = rates
         G[i - 1, i - 1] = -G[i - 1].sum()
     return G
 
@@ -64,11 +61,3 @@ def transition_matrix(generator, t: float) -> np.ndarray:
         raise InvalidModelError(f"generator is not conservative: row {k + 1} "
                                 f"sums to {rows[k]:.3e}")
     return np.maximum(expm(t * Q), 0.0)
-
-
-def holding_probability(spec, k: int, t) -> np.ndarray:
-    """P(no jump up to t) lower envelope from a dominating chain spec:
-    ``exp(-(min(kappa, k-1) + kappa) * alpha * K * t)``."""
-    t = np.asarray(t, dtype=float)
-    out = np.exp(-spec.exit_rate(k) * t)
-    return out if out.ndim else float(out)

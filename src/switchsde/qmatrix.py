@@ -298,40 +298,6 @@ def truncate_q(q: QMatrixSpec, K: int) -> QMatrixSpec:
     )
 
 
-# --- dominating regime chain ----------------------------------------------
-
-@dataclass(frozen=True)
-class DominatingChainSpec:
-    """Chain whose every in-band jump rate is the uniform ceiling alpha * K.
-
-    From regime ``i`` it jumps to each ``j`` with ``0 < |j - i| <= kappa``,
-    ``j >= 1``, at rate ``alpha * K``; the exit rate from ``i`` is therefore
-    ``(min(kappa, i - 1) + kappa) * alpha * K``. It dominates the switching
-    intensity of any banded matrix with row sums ``q_i <= alpha * i`` for
-    regimes ``i <= K``, which is what makes its holding times a usable lower
-    bound oracle.
-    """
-
-    K: int
-    alpha: float
-    kappa: int
-
-    def __post_init__(self):
-        if self.K < 1 or self.kappa < 1 or self.alpha < 0:
-            raise ValueError("need K >= 1, kappa >= 1, alpha >= 0")
-
-    def exit_rate(self, i: int) -> float:
-        return (min(self.kappa, i - 1) + self.kappa) * self.alpha * self.K
-
-    @property
-    def q(self) -> QMatrixSpec:
-        """The chain as a state-independent rate spec on {1, 2, ...}."""
-        rate = self.alpha * self.K
-        return QMatrixSpec(rate=lambda x, i, j: rate, kappa=self.kappa,
-                           linear_bound_alpha=2 * self.kappa * rate,
-                           state_independent=True)
-
-
 # --- randomized banded specs for sweeps ------------------------------------
 
 def random_banded_q(rng: np.random.Generator, *, dim: int = 1,

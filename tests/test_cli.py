@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -301,6 +302,40 @@ def test_observable_spec_must_be_object(tmp_path, capsys, spec):
     assert "config error" in capsys.readouterr().err
 
 
+def test_task_value_read_as_infinity_exit_code(tmp_path, capsys):
+    cfg = with_task(BASE, "jump-lipschitz", {"cases": "HUGE"},
+                    dir=str(tmp_path / "o"))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(cfg).replace('"HUGE"', "1e400"))
+    assert run("jump-lipschitz", path) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "infinity" in err
+
+
+def test_bad_output_dir_exits_before_the_run(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+    monkeypatch.setattr(est, "displacement_lipschitz_sweep", never)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    cfg = with_task(BASE, "jump-lipschitz", {"cases": 4}, dir=str(afile))
+    assert run("jump-lipschitz", write_config(tmp_path, cfg)) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(afile) in err
+
+
+def test_feller_mode_checked_before_the_run(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("feller_modulus ran")
+    monkeypatch.setattr(est, "feller_modulus", never)
+    for name, task in (("mode", {"mode": "slope"}),
+                       ("f", {"f": {"name": "cosine"}})):
+        cfg = with_task(BASE, "feller", {"radii": [0.1], **task},
+                        dir=str(tmp_path / "o"))
+        assert run("feller", write_config(tmp_path, cfg, f"{name}.json")) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 def test_nonfinite_sim_values_exit_code(tmp_path, capsys):
     # json writes these as the bare tokens NaN / Infinity, which it also reads
     for key, value in (("dt", math.nan), ("T", math.inf)):
@@ -426,3 +461,30 @@ def test_failed_record_exits_one(tmp_path, monkeypatch):
     code, records = small_run(tmp_path, "moments")
     assert code == 1
     assert [r["pass"] for r in records] == [False, False]
+
+
+# --- the example scenarios ------------------------------------------------------
+
+EXAMPLES = sorted((Path(__file__).resolve().parent.parent / "examples").glob(
+    "*.json"))
+
+
+def test_examples_cover_the_script_scenarios():
+    subs = [p.stem.split("_", 1)[0] for p in EXAMPLES]
+    assert sorted(subs) == ["chain-marginal"] * 2 + ["feller"] * 2 + ["harnack"]
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
+def test_example_scenario_runs(tmp_path, monkeypatch, path):
+    # each file name starts with the subcommand that runs it
+    sub = path.stem.split("_", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    assert run(sub, path) == 0
+    out = json.loads(path.read_text())["output"]
+    outdir = tmp_path / out["dir"]
+    records = read_jsonl(outdir / out["reports"])
+    assert records[-1]["checker"] == "summary" and records[-1]["pass"]
+    if "plot_data" in out:
+        rows = (outdir / out["plot_data"]).read_text().splitlines()
+        plotted = [r for r in records if r["checker"] != "summary"]
+        assert len(rows) == 1 + len(plotted)

@@ -203,20 +203,3 @@ def test_smooth_cutoff_shape():
     vals = smooth_cutoff(grid, 3)
     assert np.all(np.diff(vals) <= 1e-12)
     assert 0.0 < smooth_cutoff(3.5, 3) < 1.0
-
-
-# --- dominating chain --------------------------------------------------------
-
-def test_dominating_chain_rows():
-    spec = s.DominatingChainSpec(K=2, alpha=1.0, kappa=1)
-    G = s.chain_generator_matrix(spec.q, 6)
-    assert G[0, 1] == 2.0 and G[0, 0] == -2.0          # left boundary
-    assert G[2, 1] == 2.0 and G[2, 3] == 2.0 and G[2, 2] == -4.0
-    assert np.allclose(G.sum(axis=1), 0.0)
-    assert spec.exit_rate(1) == 2.0
-    assert spec.exit_rate(3) == 4.0
-
-
-def test_dominating_chain_zero_alpha():
-    G = s.chain_generator_matrix(s.DominatingChainSpec(K=3, alpha=0.0, kappa=2).q, 5)
-    assert np.all(G == 0.0)
