@@ -2,8 +2,9 @@
 with state-dependent switching over countably infinite regime spaces."""
 
 from .engine import (DEFAULT_SEED, EVENT_DRIVEN, FROZEN_RATE, SimConfig,
-                     coupled_simulate, run_chain, run_event_driven, run_frozen,
-                     simulate_path, simulate_truncated, truncated_model)
+                     coupled_simulate, recorded_path, run_chain,
+                     run_event_driven, run_frozen, simulate_path,
+                     simulate_truncated, truncated_model)
 from .errors import (ConfigError, InvalidModelError, NumericalBlowupError,
                      StiffSwitchingWarning, UnsupportedSchemeError)
 from .estimators import (BoundReport, FirstJumpEstimate, GapEstimate,
@@ -15,7 +16,8 @@ from .estimators import (BoundReport, FirstJumpEstimate, GapEstimate,
                          mc_from_values, moment_bound_check,
                          second_moment_envelope, semigroup_estimate,
                          truncation_exit_bound_check,
-                         truncation_identity_check, wilson_lower)
+                         truncation_identity_batch, truncation_identity_check,
+                         wilson_lower)
 from .markov import chain_generator_matrix, transition_matrix
 from .models import (HARNACK_PREREQUISITES, AssumptionReport, ModelSpec,
                      SamplingPlan, U_CLASSES, UClassFn, apply_diffusion,

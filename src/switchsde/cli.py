@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -221,17 +220,18 @@ def _run_truncation(model, sim, task, digest):
     x0 = task.get("x0", [0.0] * model.dim)
     i0 = int(task.get("i0", 1))
     t = float(task.get("t", sim.horizon))
+    n_cases = int(task.get("compare_cases", 10))
+    seeds = [sim.seed + case for case in range(n_cases)]
     records = []
     for K in task.get("K_values", (6,)):
-        for case in range(int(task.get("compare_cases", 10))):
-            res = est.truncation_identity_check(
-                model, x0, i0, int(K), replace(sim, seed=sim.seed + case))
+        results = est.truncation_identity_batch(model, x0, i0, int(K), sim,
+                                                seeds)
+        for case, (seed, res) in enumerate(zip(seeds, results)):
             records.append(rep.record(
                 "truncation", model.model_id,
                 {"K": int(K), "case": case, "tau_k": res["tau_k"],
                  "n_compared": res["n_compared"]},
-                None, None, None, None, res["identical"], digest,
-                sim.seed + case))
+                None, None, None, None, res["identical"], digest, seed))
         r = est.truncation_exit_bound_check(model, x0, i0, int(K), t,
                                             sim.replicas, sim,
                                             threads=sim.threads)

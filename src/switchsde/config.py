@@ -107,11 +107,31 @@ def config_hash(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+# task keys that count cases: an empty sweep would verify nothing
+_COUNT_KEYS = {"cases", "compare_cases"}
+
+
 def validate_task(cfg: ScenarioConfig, subcommand: str) -> dict:
+    """The task section of ``subcommand``: known keys only, case counts
+    positive integers and no empty list, else a ``ConfigError``."""
     if subcommand not in TASK_KEYS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
-    _reject_unknown(cfg.task, TASK_KEYS[subcommand], f"task ({subcommand})")
-    return cfg.task
+    task = cfg.task
+    _reject_unknown(task, TASK_KEYS[subcommand], f"task ({subcommand})")
+    for key in _COUNT_KEYS & set(task):
+        value = task[key]
+        try:
+            count = int(value)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ConfigError(f"task.{key} must be a positive integer: "
+                              f"{exc}") from None
+        if count != value or count < 1:
+            raise ConfigError(f"task.{key} must be a positive integer, "
+                              f"got {value!r}")
+    empty = sorted(k for k, v in task.items() if isinstance(v, list) and not v)
+    if empty:
+        raise ConfigError(f"task keys {empty} hold empty lists")
+    return task
 
 
 def build_model(cfg: ScenarioConfig) -> ModelSpec:

@@ -1,8 +1,11 @@
 """Path simulation of (X_t, Lambda_t).
 
-Two schemes, each one batch runner over replica rows; a single recorded path
-is the runner of ``cfg.scheme`` in recording mode at one replica
-(``simulate_path``, the one recorded-path entry point):
+Two schemes, each one batch runner over replica rows that serves both
+batches and recorded paths. Rows may differ in start point, start regime and
+seed. In recording mode a runner logs every row's sample times, positions
+and regimes and a table of its switches; ``recorded_path`` turns one row of
+that log into a trajectory. A single path (``simulate_path``) is the
+one-row view, a coupled pair (``coupled_simulate``) the two rows of one run:
 
 * ``frozen_rate`` (``run_frozen``) -- works for state-dependent rates. Per
   step ``[t, t+dt)`` the switching intensity is frozen at the step start; an
@@ -26,8 +29,8 @@ is the runner of ``cfg.scheme`` in recording mode at one replica
 
 Every other step, in either runner, goes through one regime-grouped Euler
 kernel over the model callbacks (``euler_step``). A runner reports rows whose
-state turned non-finite in its ``aborted`` mask; ``simulate_path`` raises
-``NumericalBlowupError`` at the first logged state that is not finite.
+state turned non-finite in its ``aborted`` mask; ``recorded_path`` raises
+``NumericalBlowupError`` at the row's first logged state that is not finite.
 
 All randomness is counter-addressed per replica (see ``noise``): the same
 seed and replica id reproduce a path bit-for-bit regardless of batch size,
@@ -117,11 +120,10 @@ def euler_step(model: ModelSpec, t, X: np.ndarray, lam: np.ndarray, h,
         b = np.asarray(model.drift(t, X, k), dtype=float)
         return X + b * h + apply_diffusion(model.diffusion(t, X, k), dw)
 
-    ks = np.unique(lam).tolist() if len(lam) > 1 else lam.tolist()
-    if len(ks) == 1:
-        return step(ks[0], t, X, h, dw)
+    if len(lam) == 1 or len(lam) > 1 and lam.min() == lam.max():
+        return step(int(lam[0]), t, X, h, dw)
     out = np.empty_like(X)
-    for k in ks:
+    for k in np.unique(lam).tolist():
         grp = lam == k
         out[grp] = step(k, t[grp] if np.ndim(t) else t, X[grp],
                         h[grp] if np.ndim(h) else h, dw[grp])
@@ -146,23 +148,33 @@ def ou_transition(X: np.ndarray, beta, a, s, h, xi: np.ndarray) -> np.ndarray:
             + (s * np.sqrt(var_f))[:, None] * xi)
 
 
-def _start_regime(q: QMatrixSpec, i0) -> int:
-    """``i0`` as an int; a ValueError naming it if it lies outside the regime
-    space of ``q``."""
-    i0 = int(i0)
-    if i0 < 1 or (q.n_regimes is not None and i0 > q.n_regimes):
-        space = f"1..{q.n_regimes}" if q.n_regimes is not None else "1, 2, ..."
-        raise ValueError(f"start regime {i0} is outside the regime space "
-                         f"{{{space}}}")
-    return i0
+def _start_regimes(q: QMatrixSpec, i0, n: int) -> np.ndarray:
+    """``i0`` (one regime, or one per row) as ``n`` start regimes; a
+    ValueError naming a start regime outside the regime space of ``q``."""
+    if np.ndim(i0) == 0:
+        starts = [int(i0)]
+        lam = np.full(n, starts[0], dtype=np.int64)
+    else:
+        lam = np.asarray(i0).astype(np.int64)
+        if lam.shape != (n,):
+            raise ValueError(f"i0 shape {lam.shape} incompatible with "
+                             f"{n} replicas")
+        starts = np.unique(lam).tolist()
+    for i in starts:
+        if i < 1 or (q.n_regimes is not None and i > q.n_regimes):
+            space = (f"1..{q.n_regimes}" if q.n_regimes is not None
+                     else "1, 2, ...")
+            raise ValueError(f"start regime {i} is outside the regime space "
+                             f"{{{space}}}")
+    return lam
 
 
 class _Rows:
     """Per-row state of a batch run, shared by both runners: positions,
     regimes, first-switch times, running regime and norm maxima, truncation
-    exit times and, in recording mode, row 0's path log and jump list."""
+    exit times and, in recording mode, every row's path log and switches."""
 
-    def __init__(self, model: ModelSpec, x0, i0: int, replicas,
+    def __init__(self, model: ModelSpec, x0, i0, replicas,
                  trunc_level: Optional[float], track_xmax: bool, record: bool):
         self.replicas = np.asarray(replicas, dtype=np.uint64)
         n, d = len(self.replicas), model.dim
@@ -171,9 +183,7 @@ class _Rows:
         if self.X.shape != (n, d):
             raise ValueError(f"x0 shape {x0.shape} incompatible with "
                              f"{n} replicas in dimension {d}")
-        if record and n != 1:
-            raise ValueError("recording needs a single replica")
-        self.lam = np.full(n, _start_regime(model.q, i0), dtype=np.int64)
+        self.lam = _start_regimes(model.q, i0, n)
         self.eta = np.full(n, np.inf)
         self.lam_max = self.lam.astype(float)
         self.trunc_level = trunc_level
@@ -183,14 +193,26 @@ class _Rows:
         self.tau = np.full(n, np.inf)
         if trunc_level is not None:
             self.tau[xnorm + self.lam > trunc_level] = 0.0
-        self.log = [] if record else None
-        self.jumps: list[JumpRecord] = []
-        self.log_row(0.0)
+        self.recording = record
+        self._ids = np.arange(n)
+        # chunks of (row, t, x, regime) and of (row, t, src, dst, mark)
+        self._log: list[tuple] = []
+        self._switches = [(self._ids[:0], np.empty(0), self.lam[:0],
+                           self.lam[:0], np.empty(0))]
+        self.log(self._ids, 0.0)
 
-    def log_row(self, t) -> None:
-        """Append row 0's time, position and regime (recording mode only)."""
-        if self.log is not None:
-            self.log.append((float(t), self.X[0].copy(), int(self.lam[0])))
+    def log(self, idx, t) -> None:
+        """Log rows ``idx`` at times ``t`` with their current positions and
+        regimes (recording mode only)."""
+        if self.recording:
+            rows = self._ids[idx]
+            self._log.append((rows, t if np.ndim(t) else np.full(len(rows), t),
+                              self.X[rows], self.lam[rows]))
+
+    def log_switches(self, idx, t, src, dst, marks) -> None:
+        """Enter the switches of rows ``idx`` at times ``t`` from ``src`` to
+        ``dst`` at absolute marks ``marks`` into the switch table."""
+        self._switches.append((self._ids[idx], t, src, dst, marks))
 
     def observe(self, idx, t) -> None:
         """Fold the states of rows ``idx`` at times ``t`` into the running
@@ -227,9 +249,38 @@ class _Rows:
         if self.track_xmax:
             out["xnorm_max"] = self.xmax
             out["aborted"] = aborted | ~np.isfinite(self.xmax)
-        if self.log is not None:
-            out["log"], out["jumps"] = self.log, self.jumps
+        if self.recording:
+            out["log"] = _by_row(self._log, ("row", "t", "x", "regime"))
+            out["switches"] = _by_row(self._switches,
+                                      ("row", "t", "src", "dst", "mark"))
         return out
+
+
+def _by_row(chunks, names) -> dict:
+    """Logged chunks as named columns grouped by row; the sort is stable, so
+    each row's entries keep the order they were logged in (time order)."""
+    cols = [np.concatenate(col) for col in zip(*chunks)]
+    order = np.argsort(cols[0], kind="stable")
+    return {name: col[order] for name, col in zip(names, cols)}
+
+
+def recorded_path(out: dict, row: int = 0, seed: int = 0) -> Trajectory:
+    """Row ``row`` of a recorded run's output (``record=True``) as a
+    trajectory. A row whose state turned non-finite raises
+    ``NumericalBlowupError`` at its first logged state that is not finite."""
+    log, sw = out["log"], out["switches"]
+    lo, hi = np.searchsorted(log["row"], (row, row + 1))
+    times, x, regime = log["t"][lo:hi], log["x"][lo:hi], log["regime"][lo:hi]
+    dead = ~np.isfinite(x).all(axis=1)
+    if dead.any():
+        k = int(dead.argmax())
+        raise NumericalBlowupError(times[k], x[k], regime[k])
+    lo, hi = np.searchsorted(sw["row"], (row, row + 1))
+    jumps = [JumpRecord(*rec) for rec in zip(
+        *(sw[name][lo:hi].tolist() for name in ("t", "src", "dst", "mark")))]
+    return Trajectory(times=times, x=x, regime=regime, jumps=jumps,
+                      eta=float(out["eta"][row]),
+                      tau_k=float(out["tau_k"][row]), seed=seed)
 
 
 # --- interval-layout lookups ---------------------------------------------------
@@ -280,12 +331,14 @@ def _skeleton_switch(layout, keys, jump_ctr, lam, idx):
     return new, _holding_times(E, _regime_totals(layout, new)), U
 
 
-def first_switch_times(q: QMatrixSpec, i0: int, keys: np.ndarray) -> np.ndarray:
+def first_switch_times(q: QMatrixSpec, i0, keys: np.ndarray) -> np.ndarray:
     """First switching times ``E_0 / q_{i0}`` (jump-lane index 0) of the
-    replica ``keys`` under state-independent rates: both runners' first clock."""
-    total = q.total_rate(np.zeros(1), _start_regime(q, i0))
+    replica ``keys`` started in ``i0`` (one regime, or one per key) under
+    state-independent rates: the first clock of ``run_chain`` and
+    ``run_event_driven``."""
+    lam = _start_regimes(q, i0, len(keys))
     return _holding_times(keyed_exponential(keys, LANE_JUMP, np.uint64(0)),
-                          np.full(len(keys), total))
+                          _regime_totals(_zero_layouts(q, 1), lam))
 
 
 def run_chain(q: QMatrixSpec, i0: int, T: float, stream: NoiseStream,
@@ -323,17 +376,25 @@ def run_chain(q: QMatrixSpec, i0: int, T: float, stream: NoiseStream,
 
 # --- batch runners ---------------------------------------------------------------
 
-def run_event_driven(model: ModelSpec, x0, i0: int, T: float, dt: float,
+def run_event_driven(model: ModelSpec, x0, i0, T: float, dt: float,
                      stream: NoiseStream, replicas: np.ndarray, *,
                      trunc_level: Optional[float] = None,
                      track_xmax: bool = False, record: bool = False) -> dict:
     """Batch simulation under the exact jump skeleton.
 
     ``x0`` may be a single point (shared start) or an ``(n, d)`` array of
-    per-replica starts; duplicated replica ids give common random numbers
+    per-replica starts, and ``i0`` one regime or an ``(n,)`` array; with a
+    stream of per-row seeds (see ``NoiseStream``) every row may have its own
+    seed. Duplicated replica ids of one seed give common random numbers
     across the duplicated rows. Non-finite states are not raised here: the
     replica's state turns NaN, keeps consuming its own draws untouched, and
     is reported in the ``aborted`` mask.
+
+    With ``record`` the output also holds every row's path: ``log`` has the
+    columns ``row, t, x, regime`` (each sample time; the regime is the
+    post-switch one at a switch) and ``switches`` the columns ``row, t, src,
+    dst, mark``, both grouped by row in time order; ``recorded_path`` turns
+    one row into a trajectory.
 
     Segment normals sit on ``LANE_EULER`` at each row's substep counter
     (times ``d``, plus the coordinate); rows on one skeleton therefore share
@@ -352,7 +413,7 @@ def run_event_driven(model: ModelSpec, x0, i0: int, T: float, dt: float,
     lincoef = model.linear_coeffs
     sub_ctr = np.zeros(n, dtype=np.uint64)
     jump_ctr = np.ones(n, dtype=np.uint64)
-    next_jump = first_switch_times(q, i0, keys)
+    next_jump = first_switch_times(q, lam, keys)
 
     comps = np.arange(d, dtype=np.uint64)
     ud = np.uint64(d)
@@ -386,7 +447,7 @@ def run_event_driven(model: ModelSpec, x0, i0: int, T: float, dt: float,
             # no switch anywhere this step: one lockstep substep
             _advance(full, t0, t1 - t0)
             rows.observe(full, t1)
-            rows.log_row(t1)
+            rows.log(full, t1)
             continue
         seg.fill(t0)
         while True:
@@ -398,20 +459,22 @@ def run_event_driven(model: ModelSpec, x0, i0: int, T: float, dt: float,
                 _advance(act, seg[act], h[act])
                 seg[act] = adv[act]
                 rows.observe(act, adv[act])
-                if record and seg[0] != next_jump[0]:
-                    # a switch at this exact time logs its own row instead
-                    rows.log_row(seg[0])
+                if record:
+                    # a row switching at this exact time logs at its switch
+                    lg = sel[seg[sel] != next_jump[sel]]
+                    rows.log(lg, seg[lg])
             # seg is finite, so seg == next_jump can only fire at finite jumps
             jidx = np.flatnonzero(seg == next_jump)
             if not jidx.size:
                 break  # every replica reached t1 without a pending switch
             new_j, hold, U = _skeleton_switch(layout, keys, jump_ctr, lam, jidx)
             if record:
-                src = int(lam[0])
-                rows.jumps.append(JumpRecord(float(seg[0]), src, int(new_j[0]),
-                                             layout(src).mark(float(U[0]))))
+                src = lam[jidx]
+                marks = [layout(k).mark(u)
+                         for k, u in zip(src.tolist(), U.tolist())]
+                rows.log_switches(jidx, seg[jidx], src, new_j, np.array(marks))
             rows.switch(jidx, seg[jidx], new_j)
-            rows.log_row(seg[0])
+            rows.log(jidx, seg[jidx])
             if lincoef is not None:
                 co_beta[jidx], co_a[jidx], co_s[jidx] = lincoef(new_j)
             rows.observe(jidx, seg[jidx])
@@ -419,12 +482,16 @@ def run_event_driven(model: ModelSpec, x0, i0: int, T: float, dt: float,
     return rows.result()
 
 
-def run_frozen(model: ModelSpec, x0, i0: int, T: float, dt: float,
+def run_frozen(model: ModelSpec, x0, i0, T: float, dt: float,
                stream: NoiseStream, replicas: np.ndarray, *,
                trunc_level: Optional[float] = None,
                track_xmax: bool = False, record: bool = False) -> dict:
     """Batch simulation under the frozen-rate scheme (state-dependent rates
-    allowed); arguments and outputs as for ``run_event_driven``.
+    allowed); arguments and outputs, the recording mode's ``log`` and
+    ``switches`` included, as for ``run_event_driven``. A row is logged at
+    each step's end, at its switch (before and after the post-switch
+    substep) and where it died; a switch that leaves the regime unchanged
+    (an empty row at the switch point) is logged but enters no switch table.
 
     Step ``g`` reads its clock at jump index ``2g``, its mark at ``2g + 1``
     and its Euler draws at ``2dg + c`` before a switch and ``2dg + d + c``
@@ -463,10 +530,12 @@ def run_frozen(model: ModelSpec, x0, i0: int, T: float, dt: float,
         xi = keyed_normal(kl[:, None], LANE_EULER, np.uint64(2 * d * g) + comps)
         X[at] = euler_step(model, t0, X[at], lv, np.where(sw, s_rel, h), xi)
         ok = np.isfinite(X[at]).all(axis=1)
-        if record and not (ok[0] and sw[0]):
-            # the step's end, or where the row died
-            rows.log_row(t0 + s_rel[0] if sw[0] else t1)
         jumped = ok & sw
+        if record:
+            # the step's end, or where the row died; a switching row is
+            # logged at its switch below
+            stay = ~jumped
+            rows.log(live[stay], np.where(sw, t0 + s_rel, t1)[stay])
         jr = live[jumped]
         if jr.size:
             s = t0 + s_rel[jumped]
@@ -475,18 +544,19 @@ def run_frozen(model: ModelSpec, x0, i0: int, T: float, dt: float,
             new = (_destinations(layout, src, U) if q.state_independent else
                    np.array([row_layout(q, x, k).destination(u) for x, k, u
                              in zip(X[jr], src.tolist(), U.tolist())]))
-            if record and new[0] != src[0]:
-                lay = row_layout(q, X[0], int(src[0]))
-                rows.jumps.append(JumpRecord(float(s[0]), int(src[0]),
-                                             int(new[0]), lay.mark(float(U[0]))))
+            if record:
+                mv = new != src
+                rows.log_switches(jr[mv], s[mv], src[mv], new[mv], np.array(
+                    [row_layout(q, x, k).mark(u) for x, k, u
+                     in zip(X[jr[mv]], src[mv].tolist(), U[mv].tolist())]))
             rows.switch(jr, s, new)
             rows.observe(jr, s)
-            rows.log_row(s[0])
+            rows.log(jr, s)
             xi = keyed_normal(keys[jr][:, None], LANE_EULER,
                               np.uint64(2 * d * g + d) + comps)
             X[jr] = euler_step(model, s, X[jr], new, t1 - s, xi)
             ok[jumped] = np.isfinite(X[jr]).all(axis=1)
-            rows.log_row(t1)
+            rows.log(jr, t1)
         if not ok.all():
             live = live[ok]
         rows.observe(slice(None) if live.size == n else live, t1)
@@ -495,29 +565,23 @@ def run_frozen(model: ModelSpec, x0, i0: int, T: float, dt: float,
 
 # --- trajectory-level operations ----------------------------------------------
 
+def _recorded_run(model: ModelSpec, x0, i0, cfg: SimConfig,
+                  stream: Optional[NoiseStream], replicas) -> dict:
+    """The runner of ``cfg.scheme`` in recording mode over ``replicas``."""
+    runner = run_event_driven if cfg.scheme == EVENT_DRIVEN else run_frozen
+    return runner(model, x0, i0, cfg.horizon, cfg.dt,
+                  stream or NoiseStream(cfg.seed),
+                  np.asarray(replicas, dtype=np.uint64),
+                  trunc_level=cfg.truncation, record=True)
+
+
 def simulate_path(model: ModelSpec, x0, i0: int, cfg: SimConfig, *,
                   replica: int = 0,
                   stream: Optional[NoiseStream] = None) -> Trajectory:
-    """One recorded path: replica ``replica`` through the runner of
-    ``cfg.scheme`` in recording mode, as a trajectory. A path whose state
-    turned non-finite raises ``NumericalBlowupError`` at its first logged
-    state that is not finite."""
-    runner = run_event_driven if cfg.scheme == EVENT_DRIVEN else run_frozen
-    out = runner(model, as_point(x0), i0, cfg.horizon, cfg.dt,
-                 stream or NoiseStream(cfg.seed),
-                 np.array([replica], dtype=np.uint64),
-                 trunc_level=cfg.truncation, record=True)
-    log = out["log"]
-    times = np.array([r[0] for r in log])
-    x = np.stack([r[1] for r in log])
-    regime = np.array([r[2] for r in log], dtype=np.int64)
-    dead = ~np.isfinite(x).all(axis=1)
-    if dead.any():
-        k = int(dead.argmax())
-        raise NumericalBlowupError(times[k], x[k], regime[k])
-    return Trajectory(times=times, x=x, regime=regime, jumps=out["jumps"],
-                      eta=float(out["eta"][0]), tau_k=float(out["tau_k"][0]),
-                      seed=cfg.seed)
+    """One recorded path: the one-row view (``recorded_path``) of replica
+    ``replica`` through the runner of ``cfg.scheme`` in recording mode."""
+    out = _recorded_run(model, as_point(x0), i0, cfg, stream, [replica])
+    return recorded_path(out, 0, seed=cfg.seed)
 
 
 # --- truncation ----------------------------------------------------------------
@@ -566,6 +630,18 @@ def truncated_model(model: ModelSpec, K: int) -> ModelSpec:
         model_id=f"{model.model_id}|trunc{K}", advertised=frozenset())
 
 
+def check_truncation_start(x0, i0, K) -> None:
+    """A ValueError unless every start lies below its truncation level,
+    ``|x0| + i0 < K``; ``x0`` is a point or ``(n, d)``, ``i0`` and ``K``
+    numbers or ``(n,)`` arrays."""
+    level = np.linalg.norm(np.atleast_2d(x0), axis=1) + i0
+    over = np.flatnonzero(level >= K)
+    if over.size:
+        k = over[0]
+        raise ValueError(f"need |x0| + i0 < K, got {level[k]} >= "
+                         f"{np.broadcast_to(K, level.shape)[k]}")
+
+
 def simulate_truncated(model: ModelSpec, x0, i0: int, K: int, cfg: SimConfig, *,
                        replica: int = 0,
                        stream: Optional[NoiseStream] = None) -> Trajectory:
@@ -576,8 +652,7 @@ def simulate_truncated(model: ModelSpec, x0, i0: int, K: int, cfg: SimConfig, *,
     ``|X_t| + Lambda_t > K``.
     """
     x = as_point(x0)
-    if np.linalg.norm(x) + i0 >= K:
-        raise ValueError(f"need |x0| + i0 < K, got {np.linalg.norm(x) + i0} >= {K}")
+    check_truncation_start(x, i0, K)
     cfg_t = replace(cfg, truncation=K, scheme=FROZEN_RATE)
     return simulate_path(truncated_model(model, K), x, i0, cfg_t,
                          replica=replica, stream=stream)
@@ -600,15 +675,16 @@ def coupled_simulate(model: ModelSpec, start_a, start_b, cfg: SimConfig, *,
                      stream: Optional[NoiseStream] = None):
     """Run two paths on the identical noise stream; report the separation time.
 
-    ``start_a`` / ``start_b`` are ``(x0, i0)`` pairs. Both paths read the same
+    ``start_a`` / ``start_b`` are ``(x0, i0)`` pairs, run as the two rows of
+    one recorded batch with the replica id duplicated. Both paths read the same
     Brownian increments, the same switching clocks and the same destination
     marks; for identical starts they are therefore bit-identical and the
     regime separation time is infinite.
     """
-    stream = stream or NoiseStream(cfg.seed)
     (xa, ia), (xb, ib) = start_a, start_b
-    ta = simulate_path(model, xa, ia, cfg, replica=replica, stream=stream)
-    tb = simulate_path(model, xb, ib, cfg, replica=replica, stream=stream)
+    out = _recorded_run(model, np.stack([as_point(xa), as_point(xb)]),
+                        np.array([ia, ib]), cfg, stream, [replica, replica])
+    ta, tb = (recorded_path(out, r, seed=cfg.seed) for r in (0, 1))
     zeta = _first_regime_separation(ta, tb)
     ta.zeta = zeta
     tb.zeta = zeta

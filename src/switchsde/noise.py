@@ -80,15 +80,27 @@ class NoiseStream:
     against each other; results are float64 with the broadcast shape. Hot
     loops can hoist the replica half of the hash with ``replica_keys`` and
     the ``keyed_*`` module functions; both routes produce identical bits.
+
+    ``seed`` may also be a sequence of integer seeds, one per row of the
+    replica arrays the stream is read with: row ``r`` then draws exactly what
+    ``NoiseStream(seed[r], salt)`` draws for its replica, so rows of
+    different seeds can share one batch.
     """
 
-    def __init__(self, seed: int, salt: int = 0):
-        self.seed = int(seed)
+    def __init__(self, seed, salt: int = 0):
         self.salt = int(salt)
-        base = (self.seed ^ (self.salt * 0x9E3779B97F4A7C15)) & _MASK
-        base = (base + 0x632BE59BD9B4E019) & _MASK
+        if np.ndim(seed):
+            self.seed = tuple(int(s) for s in seed)
+            base = [self._base(s) for s in self.seed]
+        else:
+            self.seed = int(seed)
+            base = self._base(self.seed)
         with np.errstate(over="ignore"):
             self._key = _mix64(np.asarray(base, dtype=np.uint64))
+
+    def _base(self, seed: int) -> int:
+        base = (seed ^ (self.salt * 0x9E3779B97F4A7C15)) & _MASK
+        return (base + 0x632BE59BD9B4E019) & _MASK
 
     def replica_keys(self, replica) -> np.ndarray:
         """Pre-mixed per-replica keys for use with the ``keyed_*`` functions."""
@@ -96,6 +108,7 @@ class NoiseStream:
         with np.errstate(over="ignore"):
             return _mix64(self._key + r * _GOLDEN)
 
+    # kept for perfbench/tracing.py, which patches these three by name
     def uniform(self, replica, lane, index) -> np.ndarray:
         """Uniform on the open interval (0, 1)."""
         return keyed_uniform(self.replica_keys(replica), lane, index)

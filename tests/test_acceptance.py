@@ -159,26 +159,24 @@ def crit_uniqueness(threads):
 def crit_truncation(threads):
     bd = s.zoo("birth_death_switch")
     records = []
-    exits = 0
-    identical_all = True
+    cases = range(100)
+    Ks = [5 + (case % 2) for case in cases]
+    i0s = [2 + (case % 3) for case in cases]
+    seeds = [SEED + 300 + case for case in cases]
+    cfg = s.SimConfig(horizon=1.5, dt=5e-3, scheme=FROZEN_RATE)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", s.StiffSwitchingWarning)
-        for case in range(100):
-            K = 5 + (case % 2)
-            i0 = 2 + (case % 3)
-            cfg = s.SimConfig(horizon=1.5, dt=5e-3, seed=SEED + 300 + case,
-                              scheme=FROZEN_RATE)
-            res = s.truncation_identity_check(bd, [0.5], i0, K, cfg,
-                                              replica=case)
-            identical_all &= res["identical"]
-            exits += math.isfinite(res["tau_k"])
-            records.append(rp.record("truncation", bd.model_id,
-                                     {"case": case, "K": K, "i0": i0,
-                                      "tau_k": res["tau_k"],
-                                      "n_compared": res["n_compared"]},
-                                     None, None, None, None,
-                                     res["identical"], f"seed:{SEED}",
-                                     SEED + 300 + case))
+        results = s.truncation_identity_batch(bd, [0.5], i0s, Ks, cfg, seeds,
+                                              replicas=list(cases))
+    for case, K, i0, seed, res in zip(cases, Ks, i0s, seeds, results):
+        records.append(rp.record("truncation", bd.model_id,
+                                 {"case": case, "K": K, "i0": i0,
+                                  "tau_k": res["tau_k"],
+                                  "n_compared": res["n_compared"]},
+                                 None, None, None, None,
+                                 res["identical"], f"seed:{SEED}", seed))
+    identical_all = all(res["identical"] for res in results)
+    exits = sum(math.isfinite(res["tau_k"]) for res in results)
     bound_reports = []
     p_hats = []
     for K in (6, 8):

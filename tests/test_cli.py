@@ -443,6 +443,28 @@ def test_exit_code_follows_the_records(tmp_path, sub):
     assert code == expected_code(records)
 
 
+# sweeps over nothing: each would pass having checked nothing, or crash
+EMPTY_TASKS = {
+    "jump-lipschitz-no-cases": ("jump-lipschitz", {"cases": 0}),
+    "jump-lipschitz-no-p": ("jump-lipschitz", {"p_values": []}),
+    "harnack-no-cases": ("harnack", {"cases": 0}),
+    "moments-no-T": ("moments", {"T_values": []}),
+    "feller-no-radii": ("feller", {"radii": []}),
+    "truncation-no-cases": ("truncation-check", {"compare_cases": 0}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_TASKS))
+def test_empty_sweep_is_a_config_error(tmp_path, capsys, name):
+    sub, task = EMPTY_TASKS[name]
+    cfg = {"model": SMALL_RUNS[sub][0],
+           "sim": {"T": 0.5, "dt": 0.01, "seed": 11,
+                   "scheme": "event_driven_exact", "replicas": 500},
+           "task": task, "output": {"dir": str(tmp_path / "o")}}
+    assert run(sub, write_config(tmp_path, cfg)) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_failed_summary_exits_one(tmp_path):
     # at this seed every entry lies within 3 se, yet no fraction reaches a
     # bar above 1

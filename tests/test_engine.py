@@ -479,6 +479,60 @@ def test_frozen_batch_rows_match_singleton_paths():
         assert out["eta"][1] == out["eta"][3]
 
 
+def _recorded_cases(scheme):
+    """(model, x0 (n, d), i0 (n,)) triples a recorded batch runs under
+    ``scheme``; the overflowing model's rows started at 1 blow up."""
+    rng = np.random.default_rng(29)
+    n = 6
+    bd = s.zoo("birth_death_switch")
+    blowup = (_overflowing_model(state_independent=True),
+              np.array([[1.0], [0.0], [1.0], [0.0]]), np.ones(4, dtype=int))
+    models = [(bd, rng.uniform(-1.0, 1.0, (n, 1)), rng.integers(1, 5, n)),
+              blowup]
+    if scheme == s.EVENT_DRIVEN:
+        ou = s.zoo("switching_ou", dim=2, beta=(1.0, 2.0), a=(0.0, 0.5),
+                   s=(1.0, 0.5))
+        models.append((ou, rng.uniform(-1.0, 1.0, (n, 2)),
+                       rng.integers(1, 3, n)))
+    else:
+        sd = _random_state_dependent_model(rng, 2)
+        models.append((sd, rng.uniform(-1.0, 1.0, (n, 2)),
+                       rng.integers(1, 7, n)))
+    return models
+
+
+@pytest.mark.filterwarnings("ignore::switchsde.errors.StiffSwitchingWarning",
+                            "ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("scheme", [s.FROZEN_RATE, s.EVENT_DRIVEN])
+def test_recorded_batch_rows_match_one_row_runs(scheme):
+    runner = run_event_driven if scheme == s.EVENT_DRIVEN else run_frozen
+    for m, x0, i0 in _recorded_cases(scheme):
+        n = len(i0)
+        seeds = [3 + 11 * r for r in range(n)]
+        reps = np.array([7, 0, 7, 2 ** 33, 5, 1][:n], dtype=np.uint64)
+        out = runner(m, x0, i0, 0.8, 0.02, NoiseStream(seeds), reps,
+                     trunc_level=4.5, record=True)
+        for r in range(n):
+            c = cfg(T=0.8, dt=0.02, scheme=scheme, seed=seeds[r], K=4.5)
+            try:
+                one = s.simulate_path(m, x0[r], int(i0[r]), c,
+                                      replica=int(reps[r]))
+            except s.NumericalBlowupError as exc:
+                with pytest.raises(s.NumericalBlowupError) as got:
+                    engine.recorded_path(out, r)
+                assert (got.value.t, got.value.regime) == (exc.t, exc.regime)
+                assert np.array_equal(got.value.x, exc.x, equal_nan=True)
+                continue
+            row = engine.recorded_path(out, r, seed=seeds[r])
+            assert np.array_equal(row.times, one.times)
+            assert np.array_equal(row.x, one.x)
+            assert np.array_equal(row.regime, one.regime)
+            assert row.jumps == one.jumps
+            assert (row.eta, row.tau_k, row.seed) == (one.eta, one.tau_k,
+                                                      one.seed)
+            assert row.x[-1] == pytest.approx(out["x"][r], abs=0.0)
+
+
 @pytest.mark.filterwarnings("ignore::switchsde.errors.StiffSwitchingWarning")
 def test_frozen_switch_restarts_in_new_regime():
     # regime 1 holds still, regime 2 moves at unit speed and never leaves:

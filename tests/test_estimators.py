@@ -165,6 +165,8 @@ def test_harnack_sweep_summary_classification(ou_model):
     summary = s.harnack_sweep_summary(reps)
     assert summary["cases"] == 6
     assert summary["ok"]
+    # an empty sweep verifies nothing
+    assert not s.harnack_sweep_summary([])["ok"]
 
 
 # --- Feller probes -------------------------------------------------------------------
@@ -253,16 +255,20 @@ def test_frozen_semigroup_counts_blown_up_replicas():
     # finite even where X is not, so only the aborted mask can drop a row
     f = lambda X, lam: np.nan_to_num(np.tanh(X[:, 0]))
     est = s.semigroup_estimate(m, f, 1.0, [1.0], 1, n, c)
-    raised, etas = 0, []
+    raised = 0
     for rep in range(n):
         try:
             s.simulate_path(m, [1.0], 1, c, replica=rep)
         except s.NumericalBlowupError:
             raised += 1
-        # the first switch time, read off the recorded log, blown up or not
-        out = s.run_frozen(m, np.array([1.0]), 1, 1.0, c.dt, s.NoiseStream(c.seed),
-                           np.array([rep], dtype=np.uint64), record=True)
-        etas.append(next((r[0] for r in out["log"] if r[2] != 1), math.inf))
+    # the first switch times, read off one recorded batch's log, blown up
+    # or not
+    log = s.run_frozen(m, np.array([1.0]), 1, 1.0, c.dt, s.NoiseStream(c.seed),
+                       np.arange(n, dtype=np.uint64), record=True)["log"]
+    etas = [next((t for t, k in zip(log["t"][log["row"] == rep],
+                                    log["regime"][log["row"] == rep])
+                  if k != 1), math.inf)
+            for rep in range(n)]
     assert 0 < raised < n
     assert est.n_aborted == raised
     # every blow-up comes after a switch into the cubic regime, so the holding
@@ -358,6 +364,37 @@ def test_truncation_exit_bound(ou_model):
     rep2 = s.truncation_exit_bound_check(bd, [0.2], 2, 12, 0.5, 10_000,
                                          ecfg(dt=2e-3, seed=88))
     assert rep2.lhs.mean <= rep.lhs.mean + 3 * (rep.lhs.stderr + rep2.lhs.stderr)
+
+
+@pytest.mark.filterwarnings("ignore::switchsde.errors.StiffSwitchingWarning")
+def test_truncation_batch_matches_one_case_calls():
+    bd = s.zoo("birth_death_switch")
+    rng = np.random.default_rng(23)
+    n = 30
+    x0 = rng.uniform(-0.5, 0.5, (n, 1))
+    i0 = rng.integers(2, 5, n)
+    K = 5 + np.arange(n) % 2
+    seeds = 700 + 3 * np.arange(n)
+    reps = rng.integers(0, 1000, n)
+    c = s.SimConfig(horizon=1.5, dt=5e-3, scheme=s.FROZEN_RATE)
+    batch = s.truncation_identity_batch(bd, x0, i0, K, c, seeds, reps)
+    one = []
+    for k in range(n):
+        ik, Kk, rk = int(i0[k]), int(K[k]), int(reps[k])
+        ck = replace(c, seed=int(seeds[k]))
+        one.append(s.truncation_identity_check(bd, x0[k], ik, Kk, ck,
+                                               replica=rk))
+        # and the plain and truncated one-row paths it stands for
+        full = s.simulate_path(bd, x0[k], ik, replace(ck, truncation=Kk),
+                               replica=rk)
+        trunc = s.simulate_truncated(bd, x0[k], ik, Kk, ck, replica=rk)
+        assert (batch[k]["tau_full"], batch[k]["tau_trunc"]) == (full.tau_k,
+                                                                 trunc.tau_k)
+    assert batch == one
+    assert all(r["identical"] for r in batch)
+    assert sum(math.isfinite(r["tau_k"]) for r in batch) >= 10
+    with pytest.raises(ValueError, match="need"):
+        s.truncation_identity_batch(bd, x0, 5, 5, c, seeds, reps)
 
 
 def test_displacement_sweep_records():

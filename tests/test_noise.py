@@ -36,6 +36,16 @@ def test_keyed_route_matches_direct_route():
                           keyed_normal(keys, LANE_EULER, ctr))
 
 
+def test_per_row_seeds_match_per_seed_streams():
+    seeds = [5, 2 ** 63 + 7, -3, 5, 0]
+    reps = np.array([0, 4, 9, 1, 2 ** 40], dtype=np.uint64)
+    keys = NoiseStream(seeds, salt=3).replica_keys(reps)
+    one = [NoiseStream(sd, salt=3).replica_keys(r)
+           for sd, r in zip(seeds, reps)]
+    assert keys.dtype == np.uint64
+    assert np.array_equal(keys, np.array(one, dtype=np.uint64))
+
+
 def test_lanes_salts_and_seeds_decorrelate():
     st = NoiseStream(1)
     reps = np.arange(256, dtype=np.uint64)
