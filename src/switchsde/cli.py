@@ -34,15 +34,13 @@ from .config import (ScenarioConfig, build_model, build_sim, config_hash,
                      load_config, validate_task)
 from .engine import simulate_path
 from .errors import ConfigError, InvalidModelError, NumericalBlowupError
-from .models import SamplingPlan, check_assumptions
+from .models import HARNACK_PREREQUISITES, SamplingPlan, check_assumptions
 from .trajectory import Trajectory
 
 _GATES = {
     "moments": ("band_structure", "coefficient_growth", "rate_linear_growth"),
     "holding": ("band_structure", "rate_regime_linear"),
-    "harnack": ("state_independent_rates", "one_sided_dissipativity",
-                "uniform_ellipticity", "modulus_nonincreasing",
-                "gamma_domination"),
+    "harnack": HARNACK_PREREQUISITES,
     "truncation-check": ("band_structure", "rate_regime_linear",
                          "coefficient_growth"),
 }
@@ -66,16 +64,9 @@ def _function_from_task(task: dict):
 
 def _gate(model, subcommand) -> None:
     names = _GATES.get(subcommand)
-    if not names:
-        return
-    plan = SamplingPlan(n_pairs=2048, n_rate_pairs=64, max_regime=10)
-    report = check_assumptions(model, plan)
-    for name in names:
-        res = report.results.get(name)
-        if res is not None and not res.passed:
-            raise InvalidModelError(
-                f"assumption {name} failed (violation "
-                f"{res.max_violation:.3e}); witness: {res.witness}")
+    if names:
+        plan = SamplingPlan(n_pairs=2048, n_rate_pairs=64, max_regime=10)
+        check_assumptions(model, plan).require(*names)
 
 
 def _output_dir(cfg: ScenarioConfig) -> Path:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .engine import DEFAULT_SEED, SimConfig
@@ -98,36 +99,58 @@ def load_config(path) -> ScenarioConfig:
     return parse_config(text)
 
 
-def render_config(cfg: ScenarioConfig) -> str:
-    return json.dumps(cfg.as_dict(), sort_keys=True, indent=2) + "\n"
-
-
 def config_hash(cfg: ScenarioConfig) -> str:
     canon = json.dumps(cfg.as_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-# task keys that count cases: an empty sweep would verify nothing
+# task keys that count cases (an empty sweep would verify nothing) and keys
+# that name regimes or truncation levels, one or a list: positive integers
 _COUNT_KEYS = {"cases", "compare_cases"}
+_INTEGER_KEYS = {"cases": "case count", "compare_cases": "case count",
+                 "i0": "start regime", "starts": "start regime",
+                 "k_values": "start regime", "K_values": "truncation level"}
+# task keys that hold times, one or a list: finite and nonnegative
+_TIME_KEYS = {"t", "T_values", "t_grid", "times"}
+
+
+def _entries(task: dict, key: str) -> list:
+    """The values under ``key``: a list's entries, else the one value (a case
+    count is one value, never a list)."""
+    value = task[key]
+    if isinstance(value, list) and key not in _COUNT_KEYS:
+        return value
+    return [value]
 
 
 def validate_task(cfg: ScenarioConfig, subcommand: str) -> dict:
-    """The task section of ``subcommand``: known keys only, case counts
-    positive integers and no empty list, else a ``ConfigError``."""
+    """The task section of ``subcommand``: known keys only, case counts and
+    regimes positive integers, times finite and nonnegative, and no empty
+    list, else a ``ConfigError``."""
     if subcommand not in TASK_KEYS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     task = cfg.task
     _reject_unknown(task, TASK_KEYS[subcommand], f"task ({subcommand})")
-    for key in _COUNT_KEYS & set(task):
-        value = task[key]
-        try:
-            count = int(value)
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise ConfigError(f"task.{key} must be a positive integer: "
-                              f"{exc}") from None
-        if count != value or count < 1:
-            raise ConfigError(f"task.{key} must be a positive integer, "
-                              f"got {value!r}")
+    for key in sorted(_INTEGER_KEYS.keys() & set(task)):
+        for value in _entries(task, key):
+            what = f"task.{key}: {_INTEGER_KEYS[key]} {value!r}"
+            try:
+                count = int(value)
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise ConfigError(f"{what} is not a positive integer "
+                                  f"({exc})") from None
+            if count != value or count < 1:
+                raise ConfigError(f"{what} is not a positive integer")
+    for key in sorted(_TIME_KEYS & set(task)):
+        for value in _entries(task, key):
+            what = f"task.{key}: time {value!r}"
+            try:
+                t = float(value)
+            except (ValueError, TypeError, OverflowError) as exc:
+                raise ConfigError(f"{what} is not a finite number >= 0 "
+                                  f"({exc})") from None
+            if t != value or not (math.isfinite(t) and t >= 0):
+                raise ConfigError(f"{what} is not a finite number >= 0")
     empty = sorted(k for k, v in task.items() if isinstance(v, list) and not v)
     if empty:
         raise ConfigError(f"task keys {empty} hold empty lists")

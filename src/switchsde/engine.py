@@ -4,8 +4,8 @@ Two schemes, each one batch runner over replica rows that serves both
 batches and recorded paths. Rows may differ in start point, start regime and
 seed. In recording mode a runner logs every row's sample times, positions
 and regimes and a table of its switches; ``recorded_path`` turns one row of
-that log into a trajectory. A single path (``simulate_path``) is the
-one-row view, a coupled pair (``coupled_simulate``) the two rows of one run:
+that log into a trajectory, and a single path (``simulate_path``) is the
+one-row view of one run:
 
 * ``frozen_rate`` (``run_frozen``) -- works for state-dependent rates. Per
   step ``[t, t+dt)`` the switching intensity is frozen at the step start; an
@@ -34,10 +34,10 @@ state turned non-finite in its ``aborted`` mask; ``recorded_path`` raises
 
 All randomness is counter-addressed per replica (see ``noise``): the same
 seed and replica id reproduce a path bit-for-bit regardless of batch size,
-thread layout or which other replicas run. Two coupled paths consume the
-same stream by construction, and within one step the draws have fixed
-purposes (first sub-increment, clock, mark, post-switch sub-increment), so
-paths that branch differently stay aligned on the shared Brownian noise.
+thread layout or which other replicas run. Two runs of one replica consume
+the same stream, and within one step the draws have fixed purposes (first
+sub-increment, clock, mark, post-switch sub-increment), so paths that branch
+differently stay aligned on the shared Brownian noise.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (NumericalBlowupError, StiffSwitchingWarning,
-                     UnsupportedSchemeError)
+from .errors import (InvalidModelError, NumericalBlowupError,
+                     StiffSwitchingWarning, UnsupportedSchemeError)
 from .models import ModelSpec, apply_diffusion, _sigma_stack
 from .noise import (LANE_EULER, LANE_JUMP, NoiseStream, keyed_exponential,
                     keyed_normal, keyed_uniform)
@@ -287,9 +287,26 @@ def recorded_path(out: dict, row: int = 0, seed: int = 0) -> Trajectory:
 
 def _zero_layouts(q: QMatrixSpec, dim: int):
     """Regime -> row layout at x = 0, built once per regime on first use
-    (valid because the rates are state-independent)."""
+    (valid because the rates are state-independent).
+
+    On an infinite regime space a row sum above the certificate ``alpha * k``
+    raises ``InvalidModelError``: only the linear growth it certifies rules
+    out explosion, so a chain that breaks it could switch without end.
+    """
     zero = np.zeros(dim)
-    return functools.cache(lambda k: row_layout(q, zero, k))
+
+    @functools.cache
+    def layout(k):
+        lay = row_layout(q, zero, k)
+        bound = q.linear_bound_alpha * k
+        if q.n_regimes is None and not lay.total <= bound + 1e-9:
+            raise InvalidModelError(
+                f"row sum q_{k} = {lay.total:.6g} exceeds the certificate "
+                f"alpha*k = {bound:.6g} at regime k = {k}; the chain may "
+                "explode")
+        return lay
+
+    return layout
 
 
 def _destinations(layout, lam, U):
@@ -541,14 +558,19 @@ def run_frozen(model: ModelSpec, x0, i0, T: float, dt: float,
             s = t0 + s_rel[jumped]
             U = keyed_uniform(keys[jr], LANE_JUMP, np.uint64(2 * g + 1))
             src = lam[jr]
-            new = (_destinations(layout, src, U) if q.state_independent else
-                   np.array([row_layout(q, x, k).destination(u) for x, k, u
-                             in zip(X[jr], src.tolist(), U.tolist())]))
+            if q.state_independent:
+                new = _destinations(layout, src, U)
+                blocks = map(layout, src.tolist())
+            else:
+                blocks = [row_layout(q, x, k)
+                          for x, k in zip(X[jr], src.tolist())]
+                new = np.array([b.destination(u)
+                                for b, u in zip(blocks, U.tolist())])
             if record:
                 mv = new != src
                 rows.log_switches(jr[mv], s[mv], src[mv], new[mv], np.array(
-                    [row_layout(q, x, k).mark(u) for x, k, u
-                     in zip(X[jr[mv]], src[mv].tolist(), U[mv].tolist())]))
+                    [b.mark(u) for b, u, m
+                     in zip(blocks, U.tolist(), mv.tolist()) if m]))
             rows.switch(jr, s, new)
             rows.observe(jr, s)
             rows.log(jr, s)
@@ -565,22 +587,16 @@ def run_frozen(model: ModelSpec, x0, i0, T: float, dt: float,
 
 # --- trajectory-level operations ----------------------------------------------
 
-def _recorded_run(model: ModelSpec, x0, i0, cfg: SimConfig,
-                  stream: Optional[NoiseStream], replicas) -> dict:
-    """The runner of ``cfg.scheme`` in recording mode over ``replicas``."""
-    runner = run_event_driven if cfg.scheme == EVENT_DRIVEN else run_frozen
-    return runner(model, x0, i0, cfg.horizon, cfg.dt,
-                  stream or NoiseStream(cfg.seed),
-                  np.asarray(replicas, dtype=np.uint64),
-                  trunc_level=cfg.truncation, record=True)
-
-
 def simulate_path(model: ModelSpec, x0, i0: int, cfg: SimConfig, *,
                   replica: int = 0,
                   stream: Optional[NoiseStream] = None) -> Trajectory:
     """One recorded path: the one-row view (``recorded_path``) of replica
     ``replica`` through the runner of ``cfg.scheme`` in recording mode."""
-    out = _recorded_run(model, as_point(x0), i0, cfg, stream, [replica])
+    runner = run_event_driven if cfg.scheme == EVENT_DRIVEN else run_frozen
+    out = runner(model, as_point(x0), i0, cfg.horizon, cfg.dt,
+                 stream or NoiseStream(cfg.seed),
+                 np.array([replica], dtype=np.uint64),
+                 trunc_level=cfg.truncation, record=True)
     return recorded_path(out, 0, seed=cfg.seed)
 
 
@@ -602,23 +618,21 @@ def truncated_model(model: ModelSpec, K: int) -> ModelSpec:
     def clamp(i: int) -> int:
         return min(i, base_n) if base_n is not None else i
 
+    def cutoff(x):
+        """The cutoff at one point (d,) as a () array, or per row of (m, d)."""
+        return np.asarray(smooth_cutoff(np.linalg.norm(x, axis=-1), K))
+
     def driftK(t, x, i):
         x = np.asarray(x, dtype=float)
         b = np.asarray(model.drift(t, x, clamp(i)), dtype=float)
-        if x.ndim == 1:
-            return b * float(smooth_cutoff(np.linalg.norm(x), K))
-        phi = smooth_cutoff(np.linalg.norm(x, axis=1), K)
-        return b * phi[:, None]
+        return b * cutoff(x)[..., None]
 
     def diffusionK(t, x, i):
         x = np.asarray(x, dtype=float)
         sig = model.diffusion(t, x, clamp(i))
+        root = np.sqrt(cutoff(x))
         if x.ndim == 1:
-            root = math.sqrt(float(smooth_cutoff(np.linalg.norm(x), K)))
-            if np.isscalar(sig) or np.asarray(sig).ndim == 0:
-                return float(sig) * root
             return np.asarray(sig, dtype=float) * root
-        root = np.sqrt(smooth_cutoff(np.linalg.norm(x, axis=1), K))
         return _sigma_stack(sig, x.shape[0], d) * root[:, None, None]
 
     return ModelSpec(
@@ -656,36 +670,3 @@ def simulate_truncated(model: ModelSpec, x0, i0: int, K: int, cfg: SimConfig, *,
     cfg_t = replace(cfg, truncation=K, scheme=FROZEN_RATE)
     return simulate_path(truncated_model(model, K), x, i0, cfg_t,
                          replica=replica, stream=stream)
-
-
-# --- shared-noise coupling -------------------------------------------------------
-
-def _first_regime_separation(ta: Trajectory, tb: Trajectory) -> float:
-    if int(ta.regime[0]) != int(tb.regime[0]):
-        return 0.0
-    events = sorted({j.time for j in ta.jumps} | {j.time for j in tb.jumps})
-    for t in events:
-        if ta.regime_at(t) != tb.regime_at(t):
-            return float(t)
-    return math.inf
-
-
-def coupled_simulate(model: ModelSpec, start_a, start_b, cfg: SimConfig, *,
-                     replica: int = 0,
-                     stream: Optional[NoiseStream] = None):
-    """Run two paths on the identical noise stream; report the separation time.
-
-    ``start_a`` / ``start_b`` are ``(x0, i0)`` pairs, run as the two rows of
-    one recorded batch with the replica id duplicated. Both paths read the same
-    Brownian increments, the same switching clocks and the same destination
-    marks; for identical starts they are therefore bit-identical and the
-    regime separation time is infinite.
-    """
-    (xa, ia), (xb, ib) = start_a, start_b
-    out = _recorded_run(model, np.stack([as_point(xa), as_point(xb)]),
-                        np.array([ia, ib]), cfg, stream, [replica, replica])
-    ta, tb = (recorded_path(out, r, seed=cfg.seed) for r in (0, 1))
-    zeta = _first_regime_separation(ta, tb)
-    ta.zeta = zeta
-    tb.zeta = zeta
-    return ta, tb, zeta

@@ -49,17 +49,21 @@ C1_MAXIMAL = 3.0
 
 # --- estimate containers ------------------------------------------------------
 
-@dataclass(frozen=True)
-class McEstimate:
-    mean: float
-    stderr: float
-    n_replicas: int
-    n_aborted: int = 0
+class _Aborts:
+    """The abort rule of an estimate with ``n_replicas`` and ``n_aborted``."""
 
     @property
     def flagged(self) -> bool:
         """More than 0.1% of replicas aborted: treat the estimate as suspect."""
         return self.n_aborted > 0.001 * self.n_replicas
+
+
+@dataclass(frozen=True)
+class McEstimate(_Aborts):
+    mean: float
+    stderr: float
+    n_replicas: int
+    n_aborted: int = 0
 
 
 def mc_from_values(values: np.ndarray, aborted: Optional[np.ndarray] = None) -> McEstimate:
@@ -95,7 +99,7 @@ def _bound_report(checker, lhs, rhs, margin, **params) -> BoundReport:
 
 
 @dataclass(frozen=True)
-class GapEstimate:
+class GapEstimate(_Aborts):
     radius: float
     gap: float
     stderr: float
@@ -181,17 +185,9 @@ def semigroup_estimate(model: ModelSpec, f: Callable, t: float, x, i: int,
     return mc_from_values(vals, out["aborted"][0])
 
 
-@dataclass(frozen=True)
-class FirstJumpEstimate:
-    total: McEstimate
-    no_switch_component: McEstimate
-    switch_component: McEstimate
-    hold_probability: float
-
-
 def first_jump_estimate(model: ModelSpec, f: Callable, t: float, x, i: int,
-                        n: int, cfg: SimConfig, threads: int = 1,
-                        components: bool = False):
+                        n: int, cfg: SimConfig,
+                        threads: int = 1) -> McEstimate:
     """Estimate ``E[f(X_t, Lambda_t)]`` by conditioning on the first switch.
 
     The switching skeleton is drawn on its own (possible because the rates
@@ -208,15 +204,7 @@ def first_jump_estimate(model: ModelSpec, f: Callable, t: float, x, i: int,
     out = _stacked_run(model, EVENT_DRIVEN, [x], i, t, n, cfg, threads,
                        salt=_SALT_FIRST_JUMP)
     vals = np.asarray(f(out["x"][0], out["regime"][0]), dtype=float)
-    aborted = out["aborted"][0]
-    total = mc_from_values(vals, aborted)
-    if not components:
-        return total
-    eta = out["eta"][0]
-    hold = eta >= t
-    no_sw = mc_from_values(np.where(hold, vals, 0.0), aborted)
-    sw = mc_from_values(np.where(hold, 0.0, vals), aborted)
-    return FirstJumpEstimate(total, no_sw, sw, float(hold.mean()))
+    return mc_from_values(vals, out["aborted"][0])
 
 
 # --- moment bound ----------------------------------------------------------------
@@ -346,8 +334,12 @@ def harnack_check(model: ModelSpec, f: Callable, x, y, i: int, T: float,
     both sides by 3 sigma: ``margin = (rhs + 3 se_rhs) - (lhs - 3 se_lhs)``
     where ``se_rhs`` combines the delta-method error of the log term with the
     cost term's error. ``params["sigma_gap"]`` reports the raw gap in
-    combined-sigma units for classifying statistical misses.
+    combined-sigma units for classifying statistical misses. With
+    ``verify`` the model must first pass every ``HARNACK_PREREQUISITES``
+    check; ``T`` must be positive.
     """
+    if not T > 0:
+        raise ValueError(f"the Harnack horizon must be positive, got T={T}")
     if not model.q.state_independent:
         raise UnsupportedSchemeError("the coupling argument needs "
                                      "state-independent rates")
@@ -358,10 +350,7 @@ def harnack_check(model: ModelSpec, f: Callable, x, y, i: int, T: float,
     if verify:
         plan = SamplingPlan(n_pairs=512, n_rate_pairs=32, max_regime=8,
                             times=(0.0, T))
-        rep = check_assumptions(model, plan)
-        if not rep.passed("uniform_ellipticity"):
-            raise InvalidModelError(
-                f"ellipticity check failed: {rep['uniform_ellipticity'].witness}")
+        check_assumptions(model, plan).require(*HARNACK_PREREQUISITES)
 
     x = as_point(x)
     y = as_point(y)
@@ -407,10 +396,8 @@ def harnack_sweep(model: ModelSpec, n_cases: int, n: int, cfg: SimConfig,
     verification. Case ``c`` runs at seed ``cfg.seed + c`` so the sweep is
     reproducible case-by-case.
     """
-    rep0 = check_assumptions(model, SamplingPlan(n_pairs=1024, n_rate_pairs=32,
-                                                 max_regime=8))
-    if not rep0.passed(*[p for p in HARNACK_PREREQUISITES if p in rep0.results]):
-        raise InvalidModelError(f"model fails prerequisites: {rep0.failed()}")
+    plan = SamplingPlan(n_pairs=1024, n_rate_pairs=32, max_regime=8)
+    check_assumptions(model, plan).require(*HARNACK_PREREQUISITES)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     n_reg = model.q.n_regimes or 3
     cases = []
@@ -479,7 +466,10 @@ def feller_modulus(model: ModelSpec, f: Callable, t: float, x, i: int,
 
 def gap_trend_pass(gaps: Sequence[GapEstimate]) -> bool:
     """Monotone-decrease trend at 3 sigma: each gap below the previous one
-    plus combined noise (radii assumed listed in decreasing order)."""
+    plus combined noise (radii assumed listed in decreasing order). A
+    flagged gap fails the trend."""
+    if any(g.flagged for g in gaps):
+        return False
     for prev, cur in zip(gaps, gaps[1:]):
         slack = 3.0 * math.sqrt(prev.stderr ** 2 + cur.stderr ** 2)
         if cur.gap > prev.gap + slack:
@@ -491,15 +481,17 @@ def discontinuity_certificate(gaps: Sequence[GapEstimate],
                               floor: float = 0.05) -> dict:
     """Certify a non-vanishing CRN gap at the smallest radius.
 
-    The certificate holds when the gap minus 3 sigma stays above ``floor``:
-    the semigroup provably fails to smooth bounded measurable data at this
-    point, i.e. a strong-Feller counterexample witness.
+    The certificate holds when the gap minus 3 sigma stays above ``floor``
+    and the gap is not flagged: the semigroup provably fails to smooth
+    bounded measurable data at this point, i.e. a strong-Feller
+    counterexample witness.
     """
     smallest = min(gaps, key=lambda g: g.radius)
     lower = smallest.gap - 3.0 * smallest.stderr
     return {"radius": smallest.radius, "gap": smallest.gap,
             "stderr": smallest.stderr, "lower_3sigma": lower,
-            "floor": floor, "certified": bool(lower > floor)}
+            "floor": floor,
+            "certified": bool(lower > floor and not smallest.flagged)}
 
 
 # --- chain marginal oracle ------------------------------------------------------------

@@ -26,6 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
+from .errors import InvalidModelError
 from .qmatrix import QMatrixSpec
 
 _EPS = 1e-9
@@ -225,6 +226,16 @@ class AssumptionReport:
 
     def failed(self) -> list[str]:
         return [n for n, r in self.results.items() if not r.passed]
+
+    def require(self, *names: str) -> None:
+        """Raise ``InvalidModelError`` with the violation and witness of the
+        first of ``names`` that failed (names not checked are skipped)."""
+        for name in names:
+            res = self.results.get(name)
+            if res is not None and not res.passed:
+                raise InvalidModelError(
+                    f"assumption {name} failed (violation "
+                    f"{res.max_violation:.3e}); witness: {res.witness}")
 
     def __getitem__(self, name: str) -> AssumptionResult:
         return self.results[name]

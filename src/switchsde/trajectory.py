@@ -7,9 +7,7 @@ jump log, and the stopping-time markers:
 
 * ``eta``   -- first time the regime leaves its initial value (inf if never),
 * ``tau_k`` -- first sampled time with ``|X_t| + Lambda_t > K`` for the
-  configured truncation level (inf if never / not configured),
-* ``zeta``  -- for coupled pairs, the first time the two regime paths
-  separate (set by the coupling driver, None otherwise).
+  configured truncation level (inf if never / not configured).
 
 Serialization formats (both documented here, both round-trip):
 
@@ -20,8 +18,8 @@ via the stdlib csv module.
 Binary -- a numpy ``.npz`` archive (``np.savez``, read with
 ``allow_pickle=False``) of the named arrays ``times`` (n,), ``x`` (n, d),
 ``regime`` (n,), ``jumps`` (m, 4: time, src, dst, mark), ``markers`` (eta,
-tau_k, zeta; NaN for an absent zeta), and the scalars ``seed``, ``digest``
-(the config hash) and ``version`` (currently 1).
+tau_k), and the scalars ``seed``, ``digest`` (the config hash) and
+``version`` (currently 2; files of any other version are refused).
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_VERSION = 1
+_VERSION = 2
 _ARRAYS = ("version", "times", "x", "regime", "jumps", "markers", "seed",
            "digest")
 
@@ -54,23 +52,12 @@ class Trajectory:
     jumps: list = field(default_factory=list)
     eta: float = math.inf
     tau_k: float = math.inf
-    zeta: float | None = None
     seed: int = 0
     config_digest: str = ""
 
     @property
     def dim(self) -> int:
         return self.x.shape[1]
-
-    def regime_at(self, t: float) -> int:
-        k = int(np.searchsorted(self.times, t, side="right")) - 1
-        return int(self.regime[max(k, 0)])
-
-    def x_at(self, t: float) -> np.ndarray:
-        out = np.empty(self.dim)
-        for c in range(self.dim):
-            out[c] = np.interp(t, self.times, self.x[:, c])
-        return out
 
     # -- CSV -----------------------------------------------------------------
 
@@ -88,13 +75,12 @@ class Trajectory:
     # -- binary --------------------------------------------------------------
 
     def to_binary(self, path) -> None:
-        zeta = math.nan if self.zeta is None else self.zeta
         jumps = np.array([(j.time, j.src, j.dst, j.mark) for j in self.jumps],
                          dtype=float).reshape(-1, 4)
         with open(path, "wb") as fh:
             np.savez(fh, version=_VERSION, times=self.times, x=self.x,
                      regime=self.regime, jumps=jumps,
-                     markers=np.array([self.eta, self.tau_k, zeta], dtype=float),
+                     markers=np.array([self.eta, self.tau_k], dtype=float),
                      seed=np.int64(self.seed), digest=self.config_digest)
 
 
@@ -106,10 +92,9 @@ def from_binary(path) -> Trajectory:
         raise ValueError(f"{path} is not a trajectory file") from None
     if a["version"] != _VERSION:
         raise ValueError(f"unsupported trajectory version {a['version']}")
-    eta, tau_k, zeta = a["markers"].tolist()
+    eta, tau_k = a["markers"].tolist()
     jumps = [JumpRecord(t, int(src), int(dst), mark)
              for t, src, dst, mark in a["jumps"].tolist()]
     return Trajectory(times=a["times"], x=a["x"], regime=a["regime"],
-                      jumps=jumps, eta=eta, tau_k=tau_k,
-                      zeta=None if math.isnan(zeta) else zeta,
-                      seed=int(a["seed"]), config_digest=str(a["digest"]))
+                      jumps=jumps, eta=eta, tau_k=tau_k, seed=int(a["seed"]),
+                      config_digest=str(a["digest"]))

@@ -140,12 +140,12 @@ def crit_uniqueness(threads):
         i0 = int(rng.integers(1, (m.q.n_regimes or 2) + 1))
         cfg = s.SimConfig(horizon=0.5, dt=0.01, seed=SEED + 100 + case,
                           scheme=scheme)
-        ta, tb, zeta = s.coupled_simulate(m, (x0, i0), (x0, i0), cfg,
-                                          replica=case)
-        same = (np.array_equal(ta.times, tb.times)
-                and np.array_equal(ta.x, tb.x)
-                and np.array_equal(ta.regime, tb.regime))
-        ok = same and math.isinf(zeta)
+        ta, tb = (s.simulate_path(m, x0, i0, cfg, replica=case)
+                  for _ in range(2))
+        ok = (np.array_equal(ta.times, tb.times)
+              and np.array_equal(ta.x, tb.x)
+              and np.array_equal(ta.regime, tb.regime)
+              and ta.jumps == tb.jumps)
         ok_all &= ok
         records.append(rp.record("uniqueness", m.model_id,
                                  {"case": case, "scheme": scheme,

@@ -10,7 +10,7 @@ import switchsde as s
 from switchsde import estimators as est
 from switchsde.cli import run
 from switchsde.config import (TASK_KEYS, build_model, build_sim, config_hash,
-                              parse_config, render_config, validate_task)
+                              parse_config, validate_task)
 from switchsde.reports import emit_plot_data, read_jsonl, record, write_jsonl
 
 
@@ -42,7 +42,7 @@ def with_task(base, sub, task, **output):
 
 def test_config_round_trip():
     cfg = parse_config(json.dumps(BASE))
-    again = parse_config(render_config(cfg))
+    again = parse_config(json.dumps(cfg.as_dict()))
     assert again == cfg
     assert config_hash(again) == config_hash(cfg)
 
@@ -454,15 +454,33 @@ EMPTY_TASKS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(EMPTY_TASKS))
-def test_empty_sweep_is_a_config_error(tmp_path, capsys, name):
-    sub, task = EMPTY_TASKS[name]
+def assert_config_error(tmp_path, capsys, sub, task):
     cfg = {"model": SMALL_RUNS[sub][0],
            "sim": {"T": 0.5, "dt": 0.01, "seed": 11,
                    "scheme": "event_driven_exact", "replicas": 500},
            "task": task, "output": {"dir": str(tmp_path / "o")}}
     assert run(sub, write_config(tmp_path, cfg)) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_TASKS))
+def test_empty_sweep_is_a_config_error(tmp_path, capsys, name):
+    assert_config_error(tmp_path, capsys, *EMPTY_TASKS[name])
+
+
+# task values that would end in a traceback or check a negative horizon
+BAD_TASK_VALUES = {
+    "harnack-zero-T": ("harnack", {"cases": 2, "T_values": [0]}),
+    "chain-marginal-fractional-start": ("chain-marginal", {"starts": [1.5]}),
+    "feller-negative-t": ("feller", {"t": -1}),
+    "truncation-negative-t": ("truncation-check", {"t": -1,
+                                                   "compare_cases": 2}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TASK_VALUES))
+def test_bad_task_value_is_a_config_error(tmp_path, capsys, name):
+    assert_config_error(tmp_path, capsys, *BAD_TASK_VALUES[name])
 
 
 def test_failed_summary_exits_one(tmp_path):

@@ -166,21 +166,24 @@ def test_reproducibility_and_coupling(ou_model):
     t2 = s.simulate_path(ou_model, [0.4], 1, c, replica=5)
     assert np.array_equal(t1.x, t2.x)
     assert np.array_equal(t1.times, t2.times)
+    assert np.array_equal(t1.regime, t2.regime)
+    assert t1.jumps == t2.jumps
+    assert t1.eta == t2.eta
 
-    ta, tb, zeta = s.coupled_simulate(ou_model, ([0.4], 1), ([0.4], 1), c,
-                                      replica=5)
-    assert np.array_equal(ta.x, tb.x)
-    assert np.array_equal(ta.regime, tb.regime)
-    assert math.isinf(zeta)
+
+def _switch_table(traj):
+    return [(j.time, j.src, j.dst) for j in traj.jumps]
 
 
 def test_state_independent_coupling_never_separates(ou_model):
+    # one replica's clocks and marks do not read the position: the switch
+    # tables of two starts agree
     for scheme in (s.FROZEN_RATE, s.EVENT_DRIVEN):
         for rep in range(8):
-            _, _, zeta = s.coupled_simulate(ou_model, ([0.0], 1), ([3.0], 1),
-                                            cfg(T=1.0, scheme=scheme, seed=7),
-                                            replica=rep)
-            assert math.isinf(zeta)
+            c = cfg(T=1.0, scheme=scheme, seed=7)
+            ta, tb = (s.simulate_path(ou_model, [x0], 1, c, replica=rep)
+                      for x0 in (0.0, 3.0))
+            assert _switch_table(ta) == _switch_table(tb)
 
 
 def test_state_dependent_coupling_separates():
@@ -198,18 +201,12 @@ def test_state_dependent_coupling_separates():
                     growth_c=lambda t: 1.5, dissipativity_c=lambda t, i: 1.0,
                     diffusion_mod_c=lambda t, i: 1.0,
                     ellipticity_lambda=lambda t: 1.0, model_id="sd")
+    c = cfg(T=2.0, dt=0.02, seed=13)
     seps = sum(
-        math.isfinite(s.coupled_simulate(m, ([0.0], 1), ([3.0], 1),
-                                         cfg(T=2.0, dt=0.02, seed=13),
-                                         replica=r)[2])
+        _switch_table(s.simulate_path(m, [0.0], 1, c, replica=r))
+        != _switch_table(s.simulate_path(m, [3.0], 1, c, replica=r))
         for r in range(40))
     assert seps >= 10
-
-
-def test_initially_different_regimes_separate_at_zero(ou_model):
-    _, _, zeta = s.coupled_simulate(ou_model, ([0.0], 1), ([0.0], 2),
-                                    cfg(T=0.3), replica=1)
-    assert zeta == 0.0
 
 
 # --- truncation --------------------------------------------------------------------
@@ -586,6 +583,29 @@ def test_countable_space_has_no_top_regime():
     with pytest.raises(ValueError, match="start regime 0 "):
         run_frozen(bd, np.zeros(1), 0, 0.1, 0.01, NoiseStream(2),
                    np.arange(8, dtype=np.uint64))
+
+
+def test_explosive_chain_raises_instead_of_hanging():
+    # up-rate i^2 breaks the certificate q_i <= alpha i (alpha = 1) from
+    # regime 2 on; such a chain explodes, so a run would never end
+    q = s.QMatrixSpec(rate=lambda x, i, j: float(i * i) if j == i + 1 else 0.0,
+                      kappa=1, linear_bound_alpha=1.0, state_independent=True)
+    m = s.ModelSpec(dim=1, drift=lambda t, x, i: -np.asarray(x, dtype=float),
+                    diffusion=lambda t, x, i: 1.0, q=q,
+                    growth_c=lambda t: 1.0, dissipativity_c=lambda t, i: 1.0,
+                    diffusion_mod_c=lambda t, i: 1.0,
+                    ellipticity_lambda=lambda t: 1.0)
+    reps = np.arange(20, dtype=np.uint64)
+    message = r"q_2 = 4 exceeds the certificate alpha\*k = 2 at regime k = 2"
+    with pytest.raises(s.InvalidModelError, match=message):
+        run_event_driven(m, np.zeros(1), 1, 2.0, 0.01, NoiseStream(1), reps)
+    with pytest.raises(s.InvalidModelError, match=message):
+        run_chain(q, 1, 2.0, NoiseStream(1), reps)
+    # a NaN certificate certifies nothing
+    nan_q = s.QMatrixSpec(rate=lambda x, i, j: 1.0, kappa=1,
+                          linear_bound_alpha=math.nan, state_independent=True)
+    with pytest.raises(s.InvalidModelError, match="regime k = 1"):
+        run_chain(nan_q, 1, 2.0, NoiseStream(1), reps)
 
 
 # --- jump marks against the interval layout ----------------------------------

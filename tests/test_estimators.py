@@ -67,24 +67,6 @@ def test_semigroup_ou_mean():
     assert abs(est.mean - math.exp(-1)) <= 3 * est.stderr + 1e-2
 
 
-def test_first_jump_reduces_to_frozen_when_no_switching(frozen_model):
-    f = s.gauss_function(1.0)
-    fj = s.first_jump_estimate(frozen_model, f, 0.7, [0.5], 1, 2000,
-                               ecfg(), components=True)
-    assert fj.hold_probability == 1.0
-    assert fj.switch_component.mean == 0.0
-    assert fj.total.mean == pytest.approx(fj.no_switch_component.mean)
-
-
-def test_first_jump_degenerate_hold_component():
-    dg = s.zoo("degenerate_regime")
-    f = lambda X, lam: (X[:, 0] > 0).astype(float)
-    fj = s.first_jump_estimate(dg, f, 1.0, [0.5], 1, 60_000, ecfg(seed=73),
-                               components=True)
-    se = math.sqrt(math.exp(-1) * (1 - math.exp(-1)) / 60_000)
-    assert abs(fj.no_switch_component.mean - math.exp(-1)) <= 4 * se
-
-
 def test_first_jump_matches_semigroup(ou_model):
     f = s.gauss_function(0.8, [0.2])
     c = ecfg(T=0.6, dt=5e-3, seed=74)
@@ -155,9 +137,16 @@ def test_harnack_rejects_bad_inputs(scalar_rate_q):
     with pytest.raises(s.UnsupportedSchemeError):
         s.harnack_check(m, s.gauss_function(), [0.0], [1.0], 1, 0.5, 100, ecfg())
     dg = s.zoo("degenerate_regime")
-    with pytest.raises(s.InvalidModelError):
+    # the single check and the sweep fail with one message
+    failed = "assumption uniform_ellipticity failed"
+    with pytest.raises(s.InvalidModelError, match=failed):
         s.harnack_check(dg, s.gauss_function(), [0.0], [1.0], 1, 0.5, 100,
                         ecfg(), verify=True)
+    with pytest.raises(s.InvalidModelError, match=failed):
+        s.harnack_sweep(dg, 2, 100, ecfg())
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        s.harnack_check(s.zoo("switching_ou"), s.gauss_function(), [0.0],
+                        [1.0], 1, 0.0, 100, ecfg())
 
 
 def test_harnack_sweep_summary_classification(ou_model):
@@ -189,6 +178,29 @@ def test_feller_degenerate_floor():
     assert abs(g.gap - math.exp(-1)) <= 3 * g.stderr + 0.01
     cert = s.discontinuity_certificate(gaps)
     assert cert["certified"]
+
+
+def test_feller_verdicts_fail_on_aborted_replicas():
+    # every replica aborted: all gaps NaN
+    dead = [s.GapEstimate(r, math.nan, math.nan, 200, 200, math.nan)
+            for r in (0.5, 0.1)]
+    assert not s.gap_trend_pass(dead)
+    # a cubic escape drift overflows some replicas; the survivors' gaps alone
+    # would read as a decreasing trend and a gap above any floor
+    q = s.QMatrixSpec(rate=lambda x, i, j: 1.0, kappa=1,
+                      linear_bound_alpha=2.0, state_independent=True,
+                      n_regimes=2)
+    m = s.ModelSpec(dim=1, drift=lambda t, x, i: np.asarray(x, float) ** 3,
+                    diffusion=lambda t, x, i: 1.0, q=q,
+                    growth_c=lambda t: 1.0, dissipativity_c=lambda t, i: 1.0,
+                    diffusion_mod_c=lambda t, i: 1.0,
+                    ellipticity_lambda=lambda t: 1.0)
+    with np.errstate(all="ignore"):
+        gaps = s.feller_modulus(m, s.gauss_function(1.0), 1.0, [0.5], 1,
+                                [0.5, 0.1, 0.01], 400, ecfg(seed=5))
+    assert all(g.flagged for g in gaps)
+    assert not s.gap_trend_pass(gaps)
+    assert not s.discontinuity_certificate(gaps, floor=-1.0)["certified"]
 
 
 def test_feller_crn_pairing_reduces_variance(ou_model):

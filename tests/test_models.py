@@ -24,6 +24,15 @@ def test_degenerate_regime_fails_only_ellipticity():
     assert rep["uniform_ellipticity"].witness is not None
 
 
+def test_require_names_the_first_failed_assumption():
+    rep = check_assumptions(s.zoo("degenerate_regime"), quick_plan())
+    rep.require("band_structure", "no_such_condition")
+    with pytest.raises(s.InvalidModelError,
+                       match=r"assumption uniform_ellipticity failed "
+                             r"\(violation .*\); witness: \{"):
+        rep.require(*s.HARNACK_PREREQUISITES)
+
+
 def test_zero_diffusion_regime_kills_ellipticity():
     m = s.zoo("switching_ou", beta=(1.0, 1.0), a=(0.0, 0.0), s=(0.0, 1.0))
     rep = check_assumptions(m, quick_plan())

@@ -14,17 +14,8 @@ def sample_traj():
     regime = np.array([1, 1, 2, 2, 2], dtype=np.int64)
     jumps = [JumpRecord(0.17, 1, 2, 0.42)]
     return Trajectory(times=times, x=x, regime=regime, jumps=jumps,
-                      eta=0.17, tau_k=math.inf, zeta=None, seed=9,
+                      eta=0.17, tau_k=math.inf, seed=9,
                       config_digest="abc123")
-
-
-def test_regime_and_position_lookup():
-    t = sample_traj()
-    assert t.regime_at(0.0) == 1
-    assert t.regime_at(0.169) == 1
-    assert t.regime_at(0.17) == 2   # right-continuous
-    assert t.regime_at(5.0) == 2
-    assert np.allclose(t.x_at(0.05), [0.1, 0.95])
 
 
 def test_csv_format(tmp_path):
@@ -53,7 +44,6 @@ def test_binary_round_trip(tmp_path):
     assert np.array_equal(back.regime, t.regime)
     assert back.eta == t.eta
     assert math.isinf(back.tau_k)
-    assert back.zeta is None
     assert back.seed == 9
     assert back.config_digest == "abc123"
     assert len(back.jumps) == 1
@@ -81,8 +71,21 @@ def test_binary_rejects_other_archives_and_versions(tmp_path):
     sample_traj().to_binary(path)
     with np.load(path) as data:
         arrays = {name: data[name] for name in data.files}
-    arrays["version"] = np.int64(2)
+    arrays["version"] = np.int64(3)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
-    with pytest.raises(ValueError, match="unsupported trajectory version 2"):
+    with pytest.raises(ValueError, match="unsupported trajectory version 3"):
+        from_binary(path)
+
+
+def test_binary_refuses_version_1(tmp_path):
+    # version 1 stored three markers (eta, tau_k and a coupling time)
+    t = sample_traj()
+    path = tmp_path / "v1.bin"
+    with open(path, "wb") as fh:
+        np.savez(fh, version=1, times=t.times, x=t.x, regime=t.regime,
+                 jumps=np.array([[0.17, 1, 2, 0.42]]),
+                 markers=np.array([t.eta, t.tau_k, np.nan]),
+                 seed=np.int64(t.seed), digest=t.config_digest)
+    with pytest.raises(ValueError, match="unsupported trajectory version 1"):
         from_binary(path)
