@@ -24,7 +24,7 @@ from .models import (HARNACK_PREREQUISITES, AssumptionReport, ModelSpec,
 from .noise import LANE_EULER, LANE_JUMP, NoiseStream
 from .qmatrix import (QMatrixSpec, RowLayout, displacement_lp_bound,
                       displacement_lp_distance, random_banded_q, row_layout,
-                      smooth_cutoff, truncate_q)
+                      smooth_cutoff, truncate_q, zero_layout)
 from .trajectory import JumpRecord, Trajectory, from_binary
 
 __version__ = "0.1.0"

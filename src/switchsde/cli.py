@@ -180,9 +180,9 @@ def _run_feller(model, sim, task, digest):
         ok = cert["certified"]
         summary = {"mode": mode, **cert}
     records = [rep.record("feller", model.model_id,
-                          {"radius": g.radius, "t": t},
-                          g.gap, None, g.stderr, None, True, digest, sim.seed)
-               for g in gaps]
+                          {"radius": g.radius, "t": t}, g.gap, None, g.stderr,
+                          None, not g.flagged, digest, sim.seed)
+               | {"n_aborted": int(g.n_aborted)} for g in gaps]
     records.append(rep.record("summary", model.model_id, summary, None, None,
                               None, None, ok, digest, sim.seed))
     return records, None

@@ -27,6 +27,10 @@ one-row view of one run:
   recorded path, running maxima, a truncation level) and otherwise goes
   from switch to switch, one normal per segment and coordinate.
 
+Every state-independent row is read through ``qmatrix.zero_layout`` (built
+once per rate spec, guarded and certified there), the skeleton's as well as
+the generator oracle's.
+
 Every other step, in either runner, goes through one regime-grouped Euler
 kernel over the model callbacks (``euler_step``). A runner reports rows whose
 state turned non-finite in its ``aborted`` mask; ``recorded_path`` raises
@@ -42,7 +46,6 @@ differently stay aligned on the shared Brownian noise.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import warnings
@@ -51,13 +54,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (InvalidModelError, NumericalBlowupError,
-                     StiffSwitchingWarning, UnsupportedSchemeError)
+from .errors import NumericalBlowupError, StiffSwitchingWarning
 from .models import ModelSpec, apply_diffusion, _sigma_stack
 from .noise import (LANE_EULER, LANE_JUMP, NoiseStream, keyed_exponential,
                     keyed_normal, keyed_uniform)
 from .qmatrix import (QMatrixSpec, as_point, row_layout, smooth_cutoff,
-                      truncate_q)
+                      truncate_q, zero_layout)
 from .trajectory import JumpRecord, Trajectory
 
 DEFAULT_SEED = 123456789
@@ -283,47 +285,21 @@ def recorded_path(out: dict, row: int = 0, seed: int = 0) -> Trajectory:
                       tau_k=float(out["tau_k"][row]), seed=seed)
 
 
-# --- interval-layout lookups ---------------------------------------------------
+# --- state-independent rows (read through ``zero_layout``) -----------------------
 
-def _zero_layouts(q: QMatrixSpec, dim: int):
-    """Regime -> row layout at x = 0, built once per regime on first use
-    (valid because the rates are state-independent).
-
-    On an infinite regime space a row sum above the certificate ``alpha * k``
-    raises ``InvalidModelError``: only the linear growth it certifies rules
-    out explosion, so a chain that breaks it could switch without end.
-    """
-    zero = np.zeros(dim)
-
-    @functools.cache
-    def layout(k):
-        lay = row_layout(q, zero, k)
-        bound = q.linear_bound_alpha * k
-        if q.n_regimes is None and not lay.total <= bound + 1e-9:
-            raise InvalidModelError(
-                f"row sum q_{k} = {lay.total:.6g} exceeds the certificate "
-                f"alpha*k = {bound:.6g} at regime k = {k}; the chain may "
-                "explode")
-        return lay
-
-    return layout
-
-
-def _destinations(layout, lam, U):
+def _destinations(q: QMatrixSpec, lam, U):
     """Regimes after a switch out of ``lam`` with uniforms ``U``."""
     out = lam.copy()
-    for k in np.unique(lam):
-        grp = lam == k
-        out[grp] = layout(int(k)).destination(U[grp])
-    return out
-
-
-def _regime_totals(layout, lam):
-    """Row sums ``q_k`` per replica in regime ``lam`` (state-independent)."""
-    out = np.empty(len(lam))
     for k in np.unique(lam).tolist():
-        out[lam == k] = layout(k).total
+        grp = lam == k
+        out[grp] = zero_layout(q, k).destination(U[grp])
     return out
+
+
+def _regime_totals(q: QMatrixSpec, lam):
+    """Row sums ``q_k`` per replica in regime ``lam``."""
+    ks, inv = np.unique(lam, return_inverse=True)
+    return np.array([zero_layout(q, k).total for k in ks.tolist()])[inv]
 
 
 def _holding_times(E, totals):
@@ -333,7 +309,7 @@ def _holding_times(E, totals):
     return np.divide(E, totals, out=np.full(len(E), np.inf), where=totals > 0)
 
 
-def _skeleton_switch(layout, keys, jump_ctr, lam, idx):
+def _skeleton_switch(q: QMatrixSpec, keys, jump_ctr, lam, idx):
     """Switch rows ``idx`` of an exact skeleton out of regimes ``lam[idx]``.
 
     The mark's uniform sits on ``LANE_JUMP`` at the row's jump counter and the
@@ -344,8 +320,8 @@ def _skeleton_switch(layout, keys, jump_ctr, lam, idx):
     U = keyed_uniform(kk, LANE_JUMP, ctr)
     E = keyed_exponential(kk, LANE_JUMP, ctr + np.uint64(1))
     jump_ctr[idx] = ctr + np.uint64(2)
-    new = _destinations(layout, lam[idx], U)
-    return new, _holding_times(E, _regime_totals(layout, new)), U
+    new = _destinations(q, lam[idx], U)
+    return new, _holding_times(E, _regime_totals(q, new)), U
 
 
 def first_switch_times(q: QMatrixSpec, i0, keys: np.ndarray) -> np.ndarray:
@@ -355,7 +331,7 @@ def first_switch_times(q: QMatrixSpec, i0, keys: np.ndarray) -> np.ndarray:
     ``run_event_driven``."""
     lam = _start_regimes(q, i0, len(keys))
     return _holding_times(keyed_exponential(keys, LANE_JUMP, np.uint64(0)),
-                          _regime_totals(_zero_layouts(q, 1), lam))
+                          _regime_totals(q, lam))
 
 
 def run_chain(q: QMatrixSpec, i0: int, T: float, stream: NoiseStream,
@@ -367,12 +343,8 @@ def run_chain(q: QMatrixSpec, i0: int, T: float, stream: NoiseStream,
     ``_skeleton_switch`` as in the full runner, so the skeletons agree
     bit-for-bit; each pass draws for the switching replicas only.
     """
-    if not q.state_independent:
-        raise UnsupportedSchemeError("chain-only simulation needs "
-                                     "state-independent rates")
     n = len(replicas)
     keys = stream.replica_keys(replicas)
-    layout = _zero_layouts(q, 1)
     lam = np.full(n, int(i0), dtype=np.int64)
     jump_ctr = np.ones(n, dtype=np.uint64)
     marks = [float(tm) for tm in t_marks]
@@ -380,7 +352,7 @@ def run_chain(q: QMatrixSpec, i0: int, T: float, stream: NoiseStream,
     nxt = first_switch_times(q, i0, keys)
 
     while (jr := np.flatnonzero(nxt <= T)).size:
-        new, hold, _ = _skeleton_switch(layout, keys, jump_ctr, lam, jr)
+        new, hold, _ = _skeleton_switch(q, keys, jump_ctr, lam, jr)
         lam[jr] = new
         s = nxt[jr]
         # switch times only grow, so the last pass at or before a mark wins
@@ -417,15 +389,10 @@ def run_event_driven(model: ModelSpec, x0, i0, T: float, dt: float,
     (times ``d``, plus the coordinate); rows on one skeleton therefore share
     every draw, whether they step on the ``dt`` grid or switch to switch.
     """
-    q = model.q
-    if not q.state_independent:
-        raise UnsupportedSchemeError(
-            "event_driven_exact requires state-independent rates")
-    d = model.dim
+    q, d = model.q, model.dim
     rows = _Rows(model, x0, i0, replicas, trunc_level, track_xmax, record)
     X, lam = rows.X, rows.lam
     n = len(lam)
-    layout = _zero_layouts(q, d)
     keys = stream.replica_keys(rows.replicas)
     lincoef = model.linear_coeffs
     sub_ctr = np.zeros(n, dtype=np.uint64)
@@ -460,12 +427,6 @@ def run_event_driven(model: ModelSpec, x0, i0, T: float, dt: float,
     for g in range(step_count(T, grid)):
         t0 = g * grid
         t1 = min(T, (g + 1) * grid)
-        if next_jump.min() > t1:
-            # no switch anywhere this step: one lockstep substep
-            _advance(full, t0, t1 - t0)
-            rows.observe(full, t1)
-            rows.log(full, t1)
-            continue
         seg.fill(t0)
         while True:
             adv = np.minimum(next_jump, t1)
@@ -484,10 +445,10 @@ def run_event_driven(model: ModelSpec, x0, i0, T: float, dt: float,
             jidx = np.flatnonzero(seg == next_jump)
             if not jidx.size:
                 break  # every replica reached t1 without a pending switch
-            new_j, hold, U = _skeleton_switch(layout, keys, jump_ctr, lam, jidx)
+            new_j, hold, U = _skeleton_switch(q, keys, jump_ctr, lam, jidx)
             if record:
                 src = lam[jidx]
-                marks = [layout(k).mark(u)
+                marks = [zero_layout(q, k).mark(u)
                          for k, u in zip(src.tolist(), U.tolist())]
                 rows.log_switches(jidx, seg[jidx], src, new_j, np.array(marks))
             rows.switch(jidx, seg[jidx], new_j)
@@ -519,7 +480,6 @@ def run_frozen(model: ModelSpec, x0, i0, T: float, dt: float,
     q, d = model.q, model.dim
     rows = _Rows(model, x0, i0, replicas, trunc_level, track_xmax, record)
     X, lam = rows.X, rows.lam
-    layout = _zero_layouts(q, d)
     keys = stream.replica_keys(rows.replicas)
     comps = np.arange(d, dtype=np.uint64)
     n = len(lam)
@@ -533,7 +493,7 @@ def run_frozen(model: ModelSpec, x0, i0, T: float, dt: float,
             break
         at = slice(None) if live.size == n else live  # views until a row dies
         lv = lam[at]
-        qi = (_regime_totals(layout, lv) if q.state_independent else
+        qi = (_regime_totals(q, lv) if q.state_independent else
               np.array([q.total_rate(x, k) for x, k in zip(X[at], lv.tolist())]))
         if not warned and qi.max() * h > 0.1:
             warnings.warn(
@@ -559,8 +519,8 @@ def run_frozen(model: ModelSpec, x0, i0, T: float, dt: float,
             U = keyed_uniform(keys[jr], LANE_JUMP, np.uint64(2 * g + 1))
             src = lam[jr]
             if q.state_independent:
-                new = _destinations(layout, src, U)
-                blocks = map(layout, src.tolist())
+                new = _destinations(q, src, U)
+                blocks = [zero_layout(q, k) for k in src.tolist()]
             else:
                 blocks = [row_layout(q, x, k)
                           for x, k in zip(X[jr], src.tolist())]
@@ -641,7 +601,7 @@ def truncated_model(model: ModelSpec, K: int) -> ModelSpec:
         diffusion_mod_c=model.diffusion_mod_c,
         ellipticity_lambda=model.ellipticity_lambda,
         u_id=model.u_id, u_tilde_id=model.u_tilde_id,
-        model_id=f"{model.model_id}|trunc{K}", advertised=frozenset())
+        model_id=f"{model.model_id}|trunc{K}")
 
 
 def check_truncation_start(x0, i0, K) -> None:

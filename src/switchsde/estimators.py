@@ -191,16 +191,14 @@ def first_jump_estimate(model: ModelSpec, f: Callable, t: float, x, i: int,
     """Estimate ``E[f(X_t, Lambda_t)]`` by conditioning on the first switch.
 
     The switching skeleton is drawn on its own (possible because the rates
-    are state-independent); replicas whose first switch lands after ``t``
+    are state-independent; the runner raises ``UnsupportedSchemeError`` on
+    rates that depend on x); replicas whose first switch lands after ``t``
     contribute the frozen-regime diffusion value, the rest integrate the
     frozen regime to the switch time and then continue the full process.
     Uses a salted substream, so the estimate is statistically independent of
     ``semigroup_estimate`` at the same seed -- comparing the two exercises
     the first-switch decomposition as an identity check.
     """
-    if not model.q.state_independent:
-        raise UnsupportedSchemeError(
-            "the first-switch decomposition needs state-independent rates")
     out = _stacked_run(model, EVENT_DRIVEN, [x], i, t, n, cfg, threads,
                        salt=_SALT_FIRST_JUMP)
     vals = np.asarray(f(out["x"][0], out["regime"][0]), dtype=float)

@@ -1,8 +1,9 @@
 """The regime chain layer: dense generators and their closed-form oracles.
 
 ``chain_generator_matrix`` builds the generator of a finite
-state-independent spec; ``transition_matrix`` is ``exp(t Q)``, the oracle for
-the Monte Carlo chain marginals.
+state-independent spec from the rows ``qmatrix.zero_layout`` keeps on the
+spec, the same row arrays the Monte Carlo runners read; ``transition_matrix``
+is ``exp(t Q)``, the oracle for the Monte Carlo chain marginals.
 """
 
 from __future__ import annotations
@@ -10,24 +11,23 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import InvalidModelError, UnsupportedSchemeError
+from .errors import InvalidModelError
+from .qmatrix import zero_layout
 
 DIM_CAP = 512
 
 
 def chain_generator_matrix(q) -> np.ndarray:
     """Dense conservative generator of a finite state-independent spec; row
-    ``i`` holds ``q.row`` at x = 0."""
-    if not q.state_independent:
-        raise UnsupportedSchemeError("need state-independent rates")
+    ``i`` holds ``zero_layout(q, i)``'s rates (``UnsupportedSchemeError``
+    when the rates depend on x)."""
     n = q.n_regimes
     if n is None:
         raise ValueError("need a finite regime count")
-    zero = np.zeros(1)
     G = np.zeros((n, n))
     for i in range(1, n + 1):
-        js, rates = q.row(zero, i)
-        G[i - 1, np.asarray(js, dtype=np.int64) - 1] = rates
+        lay = zero_layout(q, i)
+        G[i - 1, lay.dests - 1] = lay.rates
         G[i - 1, i - 1] = -G[i - 1].sum()
     return G
 

@@ -141,7 +141,6 @@ class ModelSpec:
     u_id: str = "one"
     u_tilde_id: str = "one"
     model_id: str = "custom"
-    advertised: frozenset = frozenset()
     linear_coeffs: Optional[Callable] = None
 
     def __post_init__(self):
@@ -220,10 +219,6 @@ class AssumptionReport:
     model_id: str
     results: dict = field(default_factory=dict)
 
-    def passed(self, *names: str) -> bool:
-        pick = names or tuple(self.results)
-        return all(self.results[n].passed for n in pick if n in self.results)
-
     def failed(self) -> list[str]:
         return [n for n, r in self.results.items() if not r.passed]
 
@@ -281,7 +276,6 @@ _CONDITIONS = (
     "one_sided_dissipativity", "diffusion_modulus", "modulus_nonincreasing",
     "uniform_ellipticity", "bounded_at_origin",
     "dissipativity_uniform_in_regime", "gamma_domination")
-_ALL_CHECKS = frozenset(_CONDITIONS)
 
 
 def check_assumptions(m: ModelSpec, plan: SamplingPlan | None = None) -> AssumptionReport:
@@ -475,7 +469,6 @@ def linear_switching_model(*, dim=1, beta=(1.0, 2.0), a=(0.0, 0.0), s=(1.0, 1.0)
              float(dim * np.max(svec ** 2)), 1e-9)
     cdis = np.maximum(1.0, 0.5 - beta)
     lam0 = float(np.min(np.abs(svec)))
-    advertised = _ALL_CHECKS if lam0 > 0 else _ALL_CHECKS - {"uniform_ellipticity"}
 
     def lincoef(lam):
         idx = np.asarray(lam, dtype=np.int64) - 1
@@ -489,7 +482,7 @@ def linear_switching_model(*, dim=1, beta=(1.0, 2.0), a=(0.0, 0.0), s=(1.0, 1.0)
         ellipticity_lambda=lambda t, lam0=lam0: lam0,
         u_id="one", u_tilde_id="one",
         model_id=model_id or f"switching_ou(d={dim},n={n})",
-        advertised=advertised, linear_coeffs=lincoef)
+        linear_coeffs=lincoef)
 
 
 def _zoo_switching_ou(dim=1, beta=(1.0, 2.0), a=(0.0, 0.0), s=(1.0, 1.0),
@@ -549,7 +542,7 @@ def _zoo_birth_death_switch(dim=1, sigma_scale=1.0):
         ellipticity_lambda=lambda t: abs(sigma_scale),
         u_id="one", u_tilde_id="one",
         model_id=f"birth_death_switch(d={dim})",
-        advertised=_ALL_CHECKS, linear_coeffs=lincoef)
+        linear_coeffs=lincoef)
 
 
 def _log_drift(x):
@@ -581,8 +574,7 @@ def _zoo_nonlipschitz_log():
         diffusion_mod_c=lambda t, i: 1.0,
         ellipticity_lambda=lambda t: 1.0,
         u_id="log", u_tilde_id="one",
-        model_id="nonlipschitz_log",
-        advertised=_ALL_CHECKS)
+        model_id="nonlipschitz_log")
 
 
 _ZOO = {

@@ -13,21 +13,27 @@ nothing.
 of this layout: both simulation schemes draw destinations and marks from it,
 and the exact L^p distance between jump kernels sweeps its endpoints.
 
+``zero_layout`` is the only reader of a state-independent row: it builds
+row ``k`` at x = 0 once per spec and keeps it in a dict on the spec, which
+dies with the spec (a ``dataclasses.replace`` copy starts empty). Nothing is
+cached at module level; state-dependent layouts are built per point and row.
+
 The whole module assumes a band structure: jumps move the regime by at most
 ``kappa``, so every row has finitely many nonzero entries and the (possibly
-countably infinite) regime space is never enumerated. Layouts are built per
-point ``x`` and row; nothing is cached globally.
+countably infinite) regime space is never enumerated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidModelError
+from .errors import InvalidModelError, UnsupportedSchemeError
 
 Point = np.ndarray
 
@@ -103,6 +109,11 @@ class QMatrixSpec:
             total += r
         return total
 
+    @functools.cached_property
+    def _zero_rows(self) -> dict:
+        """Regime -> ``RowLayout`` at x = 0, filled by ``zero_layout``."""
+        return {}
+
 
 @dataclass(frozen=True)
 class RowLayout:
@@ -171,6 +182,39 @@ def row_layout(q: QMatrixSpec, x, i: int) -> RowLayout:
     total = float(right[-1]) if len(right) else 0.0
     return RowLayout(i=i, dests=np.asarray(js, dtype=np.int64), rates=rates,
                      right=right, edges=edges, start=float(start), total=total)
+
+
+_ZERO = np.zeros(1)
+_FILL = threading.Lock()  # one build per row when batch threads share a spec
+
+
+def zero_layout(q: QMatrixSpec, k: int) -> RowLayout:
+    """Row ``k``'s block of a state-independent spec at x = 0, built once per
+    spec and regime; its arrays are read-only because every caller shares them.
+
+    Raises ``UnsupportedSchemeError`` when the rates may depend on ``x``. On
+    an infinite regime space a row sum above the certificate ``alpha * k``
+    raises ``InvalidModelError``: only the linear growth it certifies rules
+    out explosion, so a chain that breaks it could switch without end.
+    """
+    if not q.state_independent:
+        raise UnsupportedSchemeError(
+            "this needs state-independent rates (rates that ignore x)")
+    rows = q._zero_rows
+    if k not in rows:
+        with _FILL:
+            if k not in rows:
+                lay = row_layout(q, _ZERO, k)
+                bound = q.linear_bound_alpha * k
+                if q.n_regimes is None and not lay.total <= bound + 1e-9:
+                    raise InvalidModelError(
+                        f"row sum q_{k} = {lay.total:.6g} exceeds the "
+                        f"certificate alpha*k = {bound:.6g} at regime k = {k}; "
+                        "the chain may explode")
+                for a in (lay.dests, lay.rates, lay.right, lay.edges):
+                    a.flags.writeable = False
+                rows[k] = lay
+    return rows[k]
 
 
 def displacement_lp_distance(q: QMatrixSpec, x, y, i: int, p: float) -> float:

@@ -443,6 +443,19 @@ def test_exit_code_follows_the_records(tmp_path, sub):
     assert code == expected_code(records)
 
 
+def test_feller_records_fail_on_aborted_replicas(tmp_path):
+    # beta = -1000: every replica overflows, so each per-radius gap is flagged
+    cfg = with_task(BASE, "feller", {"x0": [0.0], "radii": [0.5, 0.1]},
+                    dir=str(tmp_path / "o"))
+    cfg["model"]["params"]["beta"] = [-1000.0, -1000.0]
+    cfg["sim"]["replicas"] = 400
+    assert run("feller", write_config(tmp_path, cfg)) == 1
+    gaps = [r for r in read_jsonl(tmp_path / "o" / "reports.jsonl")
+            if r["checker"] == "feller"]
+    assert [r["params"]["radius"] for r in gaps] == [0.5, 0.1]
+    assert all(not r["pass"] and r["n_aborted"] > 0 for r in gaps)
+
+
 # sweeps over nothing: each would pass having checked nothing, or crash
 EMPTY_TASKS = {
     "jump-lipschitz-no-cases": ("jump-lipschitz", {"cases": 0}),

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -563,6 +564,11 @@ def test_event_driven_needs_state_independent(scalar_rate_q):
                     ellipticity_lambda=lambda t: 1.0)
     with pytest.raises(s.UnsupportedSchemeError):
         s.simulate_path(m, [0.0], 1, cfg(scheme=s.EVENT_DRIVEN))
+    with pytest.raises(s.UnsupportedSchemeError):
+        run_chain(scalar_rate_q, 1, 1.0, NoiseStream(1),
+                  np.arange(4, dtype=np.uint64))
+    with pytest.raises(s.UnsupportedSchemeError):
+        s.zero_layout(scalar_rate_q, 1)
 
 
 @pytest.mark.parametrize("runner", [run_event_driven, run_frozen])
@@ -601,11 +607,50 @@ def test_explosive_chain_raises_instead_of_hanging():
         run_event_driven(m, np.zeros(1), 1, 2.0, 0.01, NoiseStream(1), reps)
     with pytest.raises(s.InvalidModelError, match=message):
         run_chain(q, 1, 2.0, NoiseStream(1), reps)
+    with pytest.raises(s.InvalidModelError, match=message):
+        first_switch_times(q, 2, NoiseStream(1).replica_keys(reps))
     # a NaN certificate certifies nothing
     nan_q = s.QMatrixSpec(rate=lambda x, i, j: 1.0, kappa=1,
                           linear_bound_alpha=math.nan, state_independent=True)
     with pytest.raises(s.InvalidModelError, match="regime k = 1"):
         run_chain(nan_q, 1, 2.0, NoiseStream(1), reps)
+
+
+def test_state_independent_rows_are_built_once_per_spec():
+    calls = []
+
+    def rate(x, i, j):
+        calls.append((i, j))
+        return 0.3 * i + 0.2 * j
+
+    q = s.QMatrixSpec(rate=rate, kappa=1, linear_bound_alpha=2.0,
+                      state_independent=True, n_regimes=4)
+    m = s.ModelSpec(dim=1, drift=lambda t, x, i: -np.asarray(x, dtype=float),
+                    diffusion=lambda t, x, i: 1.0, q=q,
+                    growth_c=lambda t: 1.0, dissipativity_c=lambda t, i: 1.0,
+                    diffusion_mod_c=lambda t, i: 1.0,
+                    ellipticity_lambda=lambda t: 1.0)
+    reps = np.arange(40, dtype=np.uint64)
+
+    def read_every_row():
+        run_chain(q, 1, 3.0, NoiseStream(5), reps)
+        run_event_driven(m, np.zeros(1), 2, 1.0, 0.1, NoiseStream(5), reps,
+                         record=True)
+        first_switch_times(q, 4, NoiseStream(5).replica_keys(reps))
+        return s.chain_generator_matrix(q)
+
+    G = read_every_row()
+    assert calls
+    n_calls = len(calls)
+    assert np.array_equal(read_every_row(), G)
+    assert len(calls) == n_calls  # every row came from the spec's cache
+    # the generator holds the very rates the runners read
+    for i in range(1, 5):
+        lay = s.zero_layout(q, i)
+        assert np.array_equal(G[i - 1, lay.dests - 1], lay.rates)
+    # a copy of the spec starts with no rows
+    assert np.array_equal(s.chain_generator_matrix(replace(q, rate=rate)), G)
+    assert len(calls) > n_calls
 
 
 # --- jump marks against the interval layout ----------------------------------

@@ -123,6 +123,9 @@ def test_chain_generator_reads_the_rows():
     with pytest.raises(ValueError, match="finite regime count"):
         s.chain_generator_matrix(s.QMatrixSpec(rate=lambda x, i, j: 1.0,
                                                kappa=1, state_independent=True))
+    with pytest.raises(s.UnsupportedSchemeError):
+        s.chain_generator_matrix(s.QMatrixSpec(rate=lambda x, i, j: 1.0,
+                                               kappa=1, n_regimes=2))
 
 
 def test_input_validation():

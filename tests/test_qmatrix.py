@@ -1,4 +1,8 @@
 import math
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,3 +207,32 @@ def test_smooth_cutoff_shape():
     vals = smooth_cutoff(grid, 3)
     assert np.all(np.diff(vals) <= 1e-12)
     assert 0.0 < smooth_cutoff(3.5, 3) < 1.0
+
+
+def test_zero_layout_builds_each_row_once_under_threads():
+    # batch threads share one spec's rows: a row built twice would add rate
+    # calls and hand the threads different row objects
+    def counting(calls):
+        def rate(x, i, j):
+            calls.append((i, j))
+            time.sleep(1e-4)  # hand the interpreter to another thread
+            return 1.0
+        return rate
+
+    calls, single = [], []
+    q = s.QMatrixSpec(rate=counting(calls), kappa=2, linear_bound_alpha=4.0,
+                      state_independent=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            futs = [ex.submit(lambda: [s.zero_layout(q, k) for k in (3, 1, 2)])
+                    for _ in range(16)]
+            rows = [f.result(timeout=30) for f in futs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(a is b for r in rows for a, b in zip(r, rows[0]))
+    one = replace(q, rate=counting(single))
+    for k in (3, 1, 2):
+        s.zero_layout(one, k)
+    assert len(calls) == len(single) > 0
