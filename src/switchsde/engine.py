@@ -32,9 +32,14 @@ once per rate spec, guarded and certified there), the skeleton's as well as
 the generator oracle's.
 
 Every other step, in either runner, goes through one regime-grouped Euler
-kernel over the model callbacks (``euler_step``). A runner reports rows whose
-state turned non-finite in its ``aborted`` mask; ``recorded_path`` raises
-``NumericalBlowupError`` at the row's first logged state that is not finite.
+kernel over the model callbacks (``euler_step``). Rows are grouped by
+``regime_groups``: one sort finds the regimes present, and each regime's rows
+are gathered and scattered through their ascending integer indices (a full
+slice when every row shares one regime), so each regime's callbacks run once,
+on its rows in row order. The skeleton's destinations, marks and clocks group
+their rows the same way. A runner reports rows whose state turned non-finite
+in its ``aborted`` mask; ``recorded_path`` raises ``NumericalBlowupError`` at
+the row's first logged state that is not finite.
 
 All randomness is counter-addressed per replica (see ``noise``): the same
 seed and replica id reproduce a path bit-for-bit regardless of batch size,
@@ -106,6 +111,25 @@ class SimConfig:
         return step_count(self.horizon, self.dt)
 
 
+def regime_groups(lam: np.ndarray) -> list:
+    """The rows of ``lam`` grouped by regime: ``(regime, rows)`` for each
+    regime present, in ascending order.
+
+    ``rows`` is a full slice when every row shares one regime, otherwise the
+    ascending row indices ``np.flatnonzero(lam == regime)``, so a gather or
+    scatter through it keeps the rows' order. The regimes present come from a
+    sort, whose cost follows the row count and never the regime values (the
+    regime space may be infinite).
+    """
+    if not len(lam):
+        return []
+    s = np.sort(lam)
+    if s[0] == s[-1]:
+        return [(int(s[0]), slice(None))]
+    ks = s[np.concatenate(([True], s[1:] != s[:-1]))]
+    return [(k, np.flatnonzero(lam == k)) for k in ks.tolist()]
+
+
 def euler_step(model: ModelSpec, t, X: np.ndarray, lam: np.ndarray, h,
                xi: np.ndarray) -> np.ndarray:
     """Explicit Euler ``X + b h + sigma (sqrt(h) xi)`` for the rows of ``X``
@@ -122,13 +146,13 @@ def euler_step(model: ModelSpec, t, X: np.ndarray, lam: np.ndarray, h,
         b = np.asarray(model.drift(t, X, k), dtype=float)
         return X + b * h + apply_diffusion(model.diffusion(t, X, k), dw)
 
-    if len(lam) == 1 or len(lam) > 1 and lam.min() == lam.max():
-        return step(int(lam[0]), t, X, h, dw)
+    groups = regime_groups(lam)
+    if len(groups) == 1:
+        return step(groups[0][0], t, X, h, dw)
     out = np.empty_like(X)
-    for k in np.unique(lam).tolist():
-        grp = lam == k
-        out[grp] = step(k, t[grp] if np.ndim(t) else t, X[grp],
-                        h[grp] if np.ndim(h) else h, dw[grp])
+    for k, rows in groups:
+        out[rows] = step(k, t[rows] if np.ndim(t) else t, X[rows],
+                         h[rows] if np.ndim(h) else h, dw[rows])
     return out
 
 
@@ -161,7 +185,7 @@ def _start_regimes(q: QMatrixSpec, i0, n: int) -> np.ndarray:
         if lam.shape != (n,):
             raise ValueError(f"i0 shape {lam.shape} incompatible with "
                              f"{n} replicas")
-        starts = np.unique(lam).tolist()
+        starts = [k for k, _ in regime_groups(lam)]
     for i in starts:
         if i < 1 or (q.n_regimes is not None and i > q.n_regimes):
             space = (f"1..{q.n_regimes}" if q.n_regimes is not None
@@ -289,17 +313,26 @@ def recorded_path(out: dict, row: int = 0, seed: int = 0) -> Trajectory:
 
 def _destinations(q: QMatrixSpec, lam, U):
     """Regimes after a switch out of ``lam`` with uniforms ``U``."""
-    out = lam.copy()
-    for k in np.unique(lam).tolist():
-        grp = lam == k
-        out[grp] = zero_layout(q, k).destination(U[grp])
+    out = np.empty_like(lam)
+    for k, rows in regime_groups(lam):
+        out[rows] = zero_layout(q, k).destination(U[rows])
+    return out
+
+
+def _marks(q: QMatrixSpec, lam, U):
+    """Absolute marks of uniforms ``U`` on the blocks of regimes ``lam``."""
+    out = np.empty(len(lam))
+    for k, rows in regime_groups(lam):
+        out[rows] = zero_layout(q, k).mark(U[rows])
     return out
 
 
 def _regime_totals(q: QMatrixSpec, lam):
     """Row sums ``q_k`` per replica in regime ``lam``."""
-    ks, inv = np.unique(lam, return_inverse=True)
-    return np.array([zero_layout(q, k).total for k in ks.tolist()])[inv]
+    out = np.empty(len(lam))
+    for k, rows in regime_groups(lam):
+        out[rows] = zero_layout(q, k).total
+    return out
 
 
 def _holding_times(E, totals):
@@ -448,9 +481,8 @@ def run_event_driven(model: ModelSpec, x0, i0, T: float, dt: float,
             new_j, hold, U = _skeleton_switch(q, keys, jump_ctr, lam, jidx)
             if record:
                 src = lam[jidx]
-                marks = [zero_layout(q, k).mark(u)
-                         for k, u in zip(src.tolist(), U.tolist())]
-                rows.log_switches(jidx, seg[jidx], src, new_j, np.array(marks))
+                rows.log_switches(jidx, seg[jidx], src, new_j,
+                                  _marks(q, src, U))
             rows.switch(jidx, seg[jidx], new_j)
             rows.log(jidx, seg[jidx])
             if lincoef is not None:
@@ -520,7 +552,6 @@ def run_frozen(model: ModelSpec, x0, i0, T: float, dt: float,
             src = lam[jr]
             if q.state_independent:
                 new = _destinations(q, src, U)
-                blocks = [zero_layout(q, k) for k in src.tolist()]
             else:
                 blocks = [row_layout(q, x, k)
                           for x, k in zip(X[jr], src.tolist())]
@@ -528,9 +559,10 @@ def run_frozen(model: ModelSpec, x0, i0, T: float, dt: float,
                                 for b, u in zip(blocks, U.tolist())])
             if record:
                 mv = new != src
-                rows.log_switches(jr[mv], s[mv], src[mv], new[mv], np.array(
-                    [b.mark(u) for b, u, m
-                     in zip(blocks, U.tolist(), mv.tolist()) if m]))
+                marks = (_marks(q, src[mv], U[mv]) if q.state_independent
+                         else np.array([b.mark(u) for b, u, m in zip(
+                             blocks, U.tolist(), mv.tolist()) if m]))
+                rows.log_switches(jr[mv], s[mv], src[mv], new[mv], marks)
             rows.switch(jr, s, new)
             rows.observe(jr, s)
             rows.log(jr, s)

@@ -27,7 +27,8 @@ from scipy.integrate import quad
 
 from .engine import (EVENT_DRIVEN, FROZEN_RATE, DEFAULT_SEED, SimConfig,
                      check_truncation_start, first_switch_times, recorded_path,
-                     run_chain, run_event_driven, run_frozen, truncated_model)
+                     regime_groups, run_chain, run_event_driven, run_frozen,
+                     truncated_model)
 # not called here; perfbench/tracing.py patches these names in this module
 from .engine import simulate_path, simulate_truncated  # noqa: F401
 from .errors import InvalidModelError, UnsupportedSchemeError
@@ -314,10 +315,10 @@ def harnack_cost_values(model: ModelSpec, lam_T: np.ndarray, T: float,
     if lam_t <= 0:
         raise InvalidModelError("ellipticity floor must be positive")
     out = np.empty(len(lam_T))
-    for kk in np.unique(lam_T):
-        c = float(model.dissipativity_c(T, int(kk)))
+    for k, rows in regime_groups(lam_T):
+        c = float(model.dissipativity_c(T, k))
         denom = lam_t * (1.0 - math.exp(-2.0 * c * T / ucls.gamma))
-        out[lam_T == kk] = c * phi_v / denom
+        out[rows] = c * phi_v / denom
     return out
 
 

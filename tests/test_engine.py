@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -7,8 +8,8 @@ import pytest
 
 import switchsde as s
 from switchsde import engine
-from switchsde.engine import (euler_step, first_switch_times, run_chain,
-                              run_event_driven, run_frozen)
+from switchsde.engine import (euler_step, first_switch_times, regime_groups,
+                              run_chain, run_event_driven, run_frozen)
 from switchsde.noise import LANE_EULER, LANE_JUMP, NoiseStream
 
 
@@ -87,6 +88,80 @@ def test_step_euler_strong_self_convergence():
         errs.append(math.sqrt(float(np.mean((x - x_ref) ** 2))))
     slope = np.polyfit(np.log2(dts), np.log2(errs), 1)[0]
     assert 0.7 < slope < 1.3
+
+
+def test_regime_groups_partition_rows_by_index():
+    assert regime_groups(np.array([4, 4, 4])) == [(4, slice(None))]
+    assert regime_groups(np.array([7])) == [(7, slice(None))]
+    assert regime_groups(np.array([], dtype=np.int64)) == []
+    lam = np.random.default_rng(3).integers(1, 9, 200)
+    groups = regime_groups(lam)
+    assert [k for k, _ in groups] == sorted(set(lam.tolist()))
+    for k, rows in groups:
+        assert type(k) is int
+        assert np.array_equal(rows, np.flatnonzero(lam == k))
+
+
+def test_regime_groups_cost_ignores_regime_values():
+    # a count table over [min, max] would need 8 PB here
+    tracemalloc.start()
+    try:
+        groups = regime_groups(np.array([1, 10 ** 15, 1]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [k for k, _ in groups] == [1, 10 ** 15]
+    assert [r.tolist() for _, r in groups] == [[0, 2], [1]]
+    assert peak < 1 << 20
+
+
+def test_step_euler_mixed_batch_equals_per_regime_calls():
+    # callbacks that read t, x and the regime, with a full diffusion matrix
+    def drift(t, x, i):
+        x = np.asarray(x, dtype=float)
+        return np.sin(x * i) - np.asarray(t)[..., None] * x / i
+
+    def diffusion(t, x, i):
+        x = np.asarray(x, dtype=float)
+        sig = np.zeros(x.shape[:-1] + (2, 2))
+        sig[..., 0, 0] = 1.0 + 0.1 * i
+        sig[..., 0, 1] = np.cos(x[..., 1])
+        sig[..., 1, 1] = 0.5 + x[..., 0] ** 2 / i
+        return sig
+
+    m = s.ModelSpec(dim=2, drift=drift, diffusion=diffusion,
+                    q=s.QMatrixSpec(rate=lambda x, i, j: 0.0, kappa=1,
+                                    n_regimes=6),
+                    growth_c=lambda t: 1.0, dissipativity_c=lambda t, i: 1.0,
+                    diffusion_mod_c=lambda t, i: 1.0,
+                    ellipticity_lambda=lambda t: 1.0)
+    rng = np.random.default_rng(8)
+    n = 300
+    X, xi = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+    lam = rng.integers(1, 7, n)
+    t, h = rng.uniform(0, 1, n), rng.uniform(0.001, 0.1, n)
+    for tt, hh in ((t, h), (0.3, 0.05)):
+        out = euler_step(m, tt, X, lam, hh, xi)
+        for k in range(1, 7):
+            r = np.flatnonzero(lam == k)
+            one = euler_step(m, tt[r] if np.ndim(tt) else tt, X[r],
+                             np.full(len(r), k), hh[r] if np.ndim(hh) else hh,
+                             xi[r])
+            assert np.array_equal(out[r], one)
+
+
+def test_skeleton_reads_equal_per_row_layouts():
+    q = s.zoo("birth_death_switch").q
+    rng = np.random.default_rng(9)
+    lam = rng.integers(1, 12, 500)
+    U = rng.uniform(size=500)
+    lays = [s.zero_layout(q, k) for k in lam.tolist()]
+    assert np.array_equal(engine._destinations(q, lam, U),
+                          [b.destination(u) for b, u in zip(lays, U)])
+    assert np.array_equal(engine._marks(q, lam, U),
+                          [b.mark(u) for b, u in zip(lays, U.tolist())])
+    assert np.array_equal(engine._regime_totals(q, lam),
+                          [b.total for b in lays])
 
 
 # --- trajectories ----------------------------------------------------------------
@@ -579,6 +654,18 @@ def test_start_regime_outside_space_rejected(ou_model, runner, i0):
         runner(ou_model, np.zeros(1), i0, 0.5, 0.1, NoiseStream(1), reps)
     with pytest.raises(ValueError, match=f"start regime {i0} "):
         first_switch_times(ou_model.q, i0, NoiseStream(1).replica_keys(reps))
+
+
+def test_per_row_start_regimes_name_the_smallest_outside():
+    m = s.linear_switching_model(dim=1, beta=(1.0,) * 3, a=(0.0,) * 3,
+                                 s=(1.0,) * 3, rates=np.ones((3, 3)))
+    reps = np.arange(3, dtype=np.uint64)
+    i0 = np.array([1, 9, 5])
+    for runner in (run_event_driven, run_frozen):
+        with pytest.raises(ValueError, match="start regime 5 "):
+            runner(m, np.zeros(1), i0, 0.5, 0.1, NoiseStream(1), reps)
+    with pytest.raises(ValueError, match="start regime 5 "):
+        first_switch_times(m.q, i0, NoiseStream(1).replica_keys(reps))
 
 
 def test_countable_space_has_no_top_regime():
