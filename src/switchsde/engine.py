@@ -29,7 +29,8 @@ one-row view of one run:
 
 Every state-independent row is read through ``qmatrix.zero_layout`` (built
 once per rate spec, guarded and certified there), the skeleton's as well as
-the generator oracle's.
+the generator oracle's; a state-dependent row is read at the positions of
+a regime group's rows, as one batch (``qmatrix.row_layout``).
 
 Every other step, in either runner, goes through one regime-grouped Euler
 kernel over the model callbacks (``euler_step``). Rows are grouped by
@@ -309,29 +310,28 @@ def recorded_path(out: dict, row: int = 0, seed: int = 0) -> Trajectory:
                       tau_k=float(out["tau_k"][row]), seed=seed)
 
 
-# --- state-independent rows (read through ``zero_layout``) -----------------------
+# --- rows of the interval layout -------------------------------------------------
 
-def _destinations(q: QMatrixSpec, lam, U):
-    """Regimes after a switch out of ``lam`` with uniforms ``U``."""
-    out = np.empty_like(lam)
+def _switch_targets(q: QMatrixSpec, lam, U, X=None):
+    """Destinations and absolute marks of uniforms ``U`` dropped on the row
+    blocks of regimes ``lam``. Each regime group reads ``zero_layout`` when
+    the rates ignore x or no positions ``X`` are given (the skeletons, which
+    so refuse state-dependent rates), else its rows' layout at ``X``."""
+    new, marks = np.empty_like(lam), np.empty(len(lam))
     for k, rows in regime_groups(lam):
-        out[rows] = zero_layout(q, k).destination(U[rows])
-    return out
+        lay = (zero_layout(q, k) if X is None or q.state_independent
+               else row_layout(q, X[rows], k))
+        new[rows], marks[rows] = lay.destination(U[rows]), lay.mark(U[rows])
+    return new, marks
 
 
-def _marks(q: QMatrixSpec, lam, U):
-    """Absolute marks of uniforms ``U`` on the blocks of regimes ``lam``."""
+def _regime_totals(q: QMatrixSpec, lam, X=None):
+    """Row sums ``q_k`` per replica in regime ``lam``, read as in
+    ``_switch_targets`` but at ``X`` from row ``k`` alone (``total_rate``)."""
     out = np.empty(len(lam))
     for k, rows in regime_groups(lam):
-        out[rows] = zero_layout(q, k).mark(U[rows])
-    return out
-
-
-def _regime_totals(q: QMatrixSpec, lam):
-    """Row sums ``q_k`` per replica in regime ``lam``."""
-    out = np.empty(len(lam))
-    for k, rows in regime_groups(lam):
-        out[rows] = zero_layout(q, k).total
+        out[rows] = (zero_layout(q, k).total if X is None or q.state_independent
+                     else q.total_rate(X[rows], k))
     return out
 
 
@@ -347,14 +347,14 @@ def _skeleton_switch(q: QMatrixSpec, keys, jump_ctr, lam, idx):
 
     The mark's uniform sits on ``LANE_JUMP`` at the row's jump counter and the
     next clock's exponential at counter + 1; the counters advance by 2.
-    Returns the destinations, the next holding times and the uniforms.
+    Returns the destinations, the next holding times and the absolute marks.
     """
     kk, ctr = keys[idx], jump_ctr[idx]
     U = keyed_uniform(kk, LANE_JUMP, ctr)
     E = keyed_exponential(kk, LANE_JUMP, ctr + np.uint64(1))
     jump_ctr[idx] = ctr + np.uint64(2)
-    new = _destinations(q, lam[idx], U)
-    return new, _holding_times(E, _regime_totals(q, new)), U
+    new, marks = _switch_targets(q, lam[idx], U)
+    return new, _holding_times(E, _regime_totals(q, new)), marks
 
 
 def first_switch_times(q: QMatrixSpec, i0, keys: np.ndarray) -> np.ndarray:
@@ -478,11 +478,9 @@ def run_event_driven(model: ModelSpec, x0, i0, T: float, dt: float,
             jidx = np.flatnonzero(seg == next_jump)
             if not jidx.size:
                 break  # every replica reached t1 without a pending switch
-            new_j, hold, U = _skeleton_switch(q, keys, jump_ctr, lam, jidx)
+            new_j, hold, marks = _skeleton_switch(q, keys, jump_ctr, lam, jidx)
             if record:
-                src = lam[jidx]
-                rows.log_switches(jidx, seg[jidx], src, new_j,
-                                  _marks(q, src, U))
+                rows.log_switches(jidx, seg[jidx], lam[jidx], new_j, marks)
             rows.switch(jidx, seg[jidx], new_j)
             rows.log(jidx, seg[jidx])
             if lincoef is not None:
@@ -505,9 +503,9 @@ def run_frozen(model: ModelSpec, x0, i0, T: float, dt: float,
 
     Step ``g`` reads its clock at jump index ``2g``, its mark at ``2g + 1``
     and its Euler draws at ``2dg + c`` before a switch and ``2dg + d + c``
-    after it. Rates are read per row (per regime when state-independent). A
-    row whose state turns non-finite stops where it died and is reported in
-    the ``aborted`` mask.
+    after it. Rates are read per regime group, at once for the group's rows.
+    A row whose state turns non-finite stops where it died and is reported
+    in the ``aborted`` mask.
     """
     q, d = model.q, model.dim
     rows = _Rows(model, x0, i0, replicas, trunc_level, track_xmax, record)
@@ -525,8 +523,7 @@ def run_frozen(model: ModelSpec, x0, i0, T: float, dt: float,
             break
         at = slice(None) if live.size == n else live  # views until a row dies
         lv = lam[at]
-        qi = (_regime_totals(q, lv) if q.state_independent else
-              np.array([q.total_rate(x, k) for x, k in zip(X[at], lv.tolist())]))
+        qi = _regime_totals(q, lv, X[at])
         if not warned and qi.max() * h > 0.1:
             warnings.warn(
                 f"dt * q_i(x) = {qi.max() * h:.3f} > 0.1 at t={t0:.4g}; "
@@ -550,19 +547,10 @@ def run_frozen(model: ModelSpec, x0, i0, T: float, dt: float,
             s = t0 + s_rel[jumped]
             U = keyed_uniform(keys[jr], LANE_JUMP, np.uint64(2 * g + 1))
             src = lam[jr]
-            if q.state_independent:
-                new = _destinations(q, src, U)
-            else:
-                blocks = [row_layout(q, x, k)
-                          for x, k in zip(X[jr], src.tolist())]
-                new = np.array([b.destination(u)
-                                for b, u in zip(blocks, U.tolist())])
+            new, marks = _switch_targets(q, src, U, X[jr])
             if record:
                 mv = new != src
-                marks = (_marks(q, src[mv], U[mv]) if q.state_independent
-                         else np.array([b.mark(u) for b, u, m in zip(
-                             blocks, U.tolist(), mv.tolist()) if m]))
-                rows.log_switches(jr[mv], s[mv], src[mv], new[mv], marks)
+                rows.log_switches(jr[mv], s[mv], src[mv], new[mv], marks[mv])
             rows.switch(jr, s, new)
             rows.observe(jr, s)
             rows.log(jr, s)

@@ -189,16 +189,13 @@ def semigroup_estimate(model: ModelSpec, f: Callable, t: float, x, i: int,
 def first_jump_estimate(model: ModelSpec, f: Callable, t: float, x, i: int,
                         n: int, cfg: SimConfig,
                         threads: int = 1) -> McEstimate:
-    """Estimate ``E[f(X_t, Lambda_t)]`` by conditioning on the first switch.
-
-    The switching skeleton is drawn on its own (possible because the rates
-    are state-independent; the runner raises ``UnsupportedSchemeError`` on
-    rates that depend on x); replicas whose first switch lands after ``t``
-    contribute the frozen-regime diffusion value, the rest integrate the
-    frozen regime to the switch time and then continue the full process.
-    Uses a salted substream, so the estimate is statistically independent of
-    ``semigroup_estimate`` at the same seed -- comparing the two exercises
-    the first-switch decomposition as an identity check.
+    """Replica mean of ``f(X_t, Lambda_t)``: ``semigroup_estimate`` on the
+    exact skeleton (``UnsupportedSchemeError`` on rates that depend on x)
+    under a salted substream, so it is independent of ``semigroup_estimate``
+    at the same seed. It does not condition on the first switch: criterion 9
+    compares two independent runs of one estimator, and would pass with a
+    wrong holding law (ROADMAP item 4 replaces it with the first-switch
+    decomposition).
     """
     out = _stacked_run(model, EVENT_DRIVEN, [x], i, t, n, cfg, threads,
                        salt=_SALT_FIRST_JUMP)

@@ -279,7 +279,9 @@ _CONDITIONS = (
 
 
 def check_assumptions(m: ModelSpec, plan: SamplingPlan | None = None) -> AssumptionReport:
-    """Probe every regularity condition on sampled grids; report, never raise.
+    """Probe every regularity condition on sampled grids; report a failed one,
+    never raise it. A negative or non-finite rate at a sampled point is a broken
+    model: ``QMatrixSpec.row`` raises ``InvalidModelError`` naming it (exit 3).
 
     Condition names (one result each):
 
@@ -321,19 +323,17 @@ def check_assumptions(m: ModelSpec, plan: SamplingPlan | None = None) -> Assumpt
                 accs["band_structure"].update(
                     abs(float(q.rate(x, i, j))), 0.0,
                     lambda k, x=x, i=i, j=j: {"x": x.tolist(), "i": i, "j": j})
-        for j in q.band(i):
-            rx = np.array([float(q.rate(x, i, j)) for x in Xr])
-            ry = np.array([float(q.rate(y, i, j)) for y in Yr])
-            dist = np.linalg.norm(Xr - Yr, axis=1)
+        js, rx = q.row(Xr, i)
+        for j, cx, cy in zip(js, rx.T, q.row(Yr, i)[1].T):
             accs["rate_lipschitz"].update(
-                np.abs(rx - ry), q.lipschitz_cq * dist,
+                np.abs(cx - cy), q.lipschitz_cq * np.linalg.norm(Xr - Yr, axis=1),
                 lambda k, i=i, j=j: {"x": Xr[k].tolist(), "y": Yr[k].tolist(),
                                      "i": i, "j": j})
             if q.state_independent:
                 accs["state_independent_rates"].update(
-                    np.abs(rx - rx[0]), 1e-12,
+                    np.abs(cx - cx[0]), 1e-12,
                     lambda k, i=i, j=j: {"x": Xr[k].tolist(), "i": i, "j": j})
-        qi = np.array([q.total_rate(x, i) for x in Xr])
+        qi = q.total_rate(Xr, i)
         nx = np.linalg.norm(Xr, axis=1)
         accs["rate_linear_growth"].update(
             qi, q.linear_bound_alpha * i + q.linear_bound_beta * nx,

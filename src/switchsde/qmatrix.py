@@ -16,7 +16,8 @@ and the exact L^p distance between jump kernels sweeps its endpoints.
 ``zero_layout`` is the only reader of a state-independent row: it builds
 row ``k`` at x = 0 once per spec and keeps it in a dict on the spec, which
 dies with the spec (a ``dataclasses.replace`` copy starts empty). Nothing is
-cached at module level; state-dependent layouts are built per point and row.
+cached at module level; a state-dependent layout is built at one point or
+a batch of points, reading the rows below it with its own as one table.
 
 The whole module assumes a band structure: jumps move the regime by at most
 ``kappa``, so every row has finitely many nonzero entries and the (possibly
@@ -88,26 +89,39 @@ class QMatrixSpec:
             hi = min(hi, self.n_regimes)
         return [j for j in range(max(1, i - self.kappa), hi + 1) if j != i]
 
-    def row(self, x: Point, i: int) -> tuple[list[int], np.ndarray]:
-        """Destination list and rates for row ``i`` at ``x`` (ascending ``j``)."""
-        js = self.band(i)
-        rates = np.empty(len(js))
-        for k, j in enumerate(js):
-            r = float(self.rate(x, i, j))
-            if not math.isfinite(r):
-                raise InvalidModelError(f"non-finite rate at (x={x}, i={i}, j={j})")
-            if r < 0:
-                raise InvalidModelError(f"negative rate at (x={x}, i={i}, j={j})")
-            rates[k] = r
-        return js, rates
+    def row(self, x, i):
+        """Destinations (ascending) and rates of row ``i`` at a point ``x``
+        ``(d,)`` or a batch ``(m, d)``: rates ``(n,)`` or ``(m, n)``. Regimes
+        ``i = [i_1, ..., i_k]`` give a destination list each and one table
+        ``(k, w)`` or ``(m, k, w)``, rows padded with zero rates to ``w >= 1``.
+        The only reader of the rate callback: the first negative or non-finite
+        rate (by point, regime, destination) raises ``InvalidModelError``."""
+        x = np.asarray(x, dtype=float)
+        pts = np.atleast_2d(x)
+        single = isinstance(i, (int, np.integer))
+        regs = [i] if single else list(i)
+        js = [self.band(k) for k in regs]
+        w = max(1, *map(len, js))
+        cells = [(k, j) for k, b in zip(regs, js) for j in b + [0] * (w - len(b))]
+        rate = self.rate  # padding cells (j = 0) call no callback
+        flat = np.array([float(rate(p, k, j)) if j else 0.0
+                         for p in pts for k, j in cells])
+        if not (flat.min() >= 0.0 and flat.max() < math.inf):  # NaN fails too
+            bad = int(((flat >= 0.0) & (flat < math.inf)).argmin())
+            kind = "negative" if math.isfinite(flat[bad]) else "non-finite"
+            k, j = cells[bad % len(cells)]
+            raise InvalidModelError(
+                f"{kind} rate at (x={pts[bad // len(cells)]}, i={k}, j={j})")
+        table = flat.reshape(len(pts), len(regs), w)
+        if single:
+            js, table = js[0], table[:, 0, :len(js[0])]
+        return js, (table[0] if x.ndim < 2 else table)
 
-    def total_rate(self, x: Point, i: int) -> float:
-        """Row sum q_i(x), accumulated in ascending destination order."""
-        _, rates = self.row(x, i)
-        total = 0.0
-        for r in rates:
-            total += r
-        return total
+    def total_rate(self, x, i: int):
+        """Row sum ``q_i(x)``, the last running sum of the row's rates (so
+        they add in ascending ``j``): a float, or ``(m,)`` for a batch."""
+        _, table = self.row(x, [i])  # one row, at least one wide
+        return np.cumsum(table, axis=-1)[..., 0, -1]
 
     @functools.cached_property
     def _zero_rows(self) -> dict:
@@ -125,7 +139,8 @@ class RowLayout:
     interval); ``edges`` holds the absolute endpoints ``start, start + r_1,
     (start + r_1) + r_2, ...`` accumulated from the block start. The block
     covers ``[start, start + total)`` with ``total = q_i(x)`` summed in the
-    same order as ``QMatrixSpec.total_rate``.
+    same order as ``QMatrixSpec.total_rate``. At ``m`` points every field but
+    ``i`` and ``dests`` gains a leading axis of length ``m``.
     """
 
     i: int
@@ -142,11 +157,14 @@ class RowLayout:
         The relative mark ``u * total`` picks the first entry whose right
         endpoint exceeds it; an empty row leaves the regime at ``i``.
         """
-        u = np.asarray(u, dtype=float)
-        if self.total <= 0.0:
-            return np.full(u.shape, self.i, dtype=np.int64)
-        k = np.searchsorted(self.right, u * self.total, side="right")
-        return self.dests[np.minimum(k, len(self.dests) - 1)]
+        v = np.asarray(u, dtype=float) * self.total
+        if not len(self.dests):
+            return np.full(v.shape, self.i, dtype=np.int64)
+        # the count of running sums <= v (the last entry needs no test)
+        k = np.zeros(v.shape, dtype=np.intp)
+        for c in range(len(self.dests) - 1):
+            k += self.right[..., c] <= v
+        return np.where(self.total > 0.0, self.dests[k], self.i)
 
     def mark(self, u):
         """Absolute mark of uniform ``u``: a uniform point of the block."""
@@ -167,24 +185,24 @@ class RowLayout:
 
 
 def row_layout(q: QMatrixSpec, x, i: int) -> RowLayout:
-    """Lay out row ``i`` of ``q`` at ``x``; the block start sums the rows
-    below it one by one in ascending order."""
-    xp = as_point(x)
-    start = 0.0
-    for k in range(1, i):
-        t = q.total_rate(xp, k)
-        if not math.isfinite(t):
-            raise InvalidModelError(f"unbounded row sum at (x={xp}, i={k})")
-        start += t
-    js, rates = q.row(xp, i)
-    right = np.cumsum(rates)
-    edges = np.cumsum(np.concatenate(([start], rates)))
-    total = float(right[-1]) if len(right) else 0.0
-    return RowLayout(i=i, dests=np.asarray(js, dtype=np.int64), rates=rates,
-                     right=right, edges=edges, start=float(start), total=total)
+    """Lay out row ``i`` of ``q`` at one point ``x`` or a batch ``(m, d)``.
+    Rows 1..i are read as one table; the block start adds the row sums
+    below ``i`` one by one in ascending order."""
+    js, table = q.row(x, range(1, i + 1))
+    run = np.cumsum(table, axis=-1)
+    sums = run[..., -1]
+    start = (np.cumsum(sums[..., :-1], axis=-1)[..., -1] if i > 1
+             else np.zeros_like(sums[..., 0]))[()]
+    if not np.isfinite(start).all():
+        at = x if np.ndim(start) == 0 else x[np.isfinite(start).argmin()]
+        raise InvalidModelError(f"unbounded row sums below i={i} at x={at}")
+    rates = table[..., -1, :len(js[-1])]
+    edges = np.cumsum(np.concatenate((start[..., None], rates), axis=-1), axis=-1)
+    return RowLayout(i=i, dests=np.asarray(js[-1], dtype=np.int64), rates=rates,
+                     right=run[..., -1, :len(js[-1])], edges=edges,
+                     start=start, total=sums[..., -1])
 
 
-_ZERO = np.zeros(1)
 _FILL = threading.Lock()  # one build per row when batch threads share a spec
 
 
@@ -204,7 +222,7 @@ def zero_layout(q: QMatrixSpec, k: int) -> RowLayout:
     if k not in rows:
         with _FILL:
             if k not in rows:
-                lay = row_layout(q, _ZERO, k)
+                lay = row_layout(q, np.zeros(1), k)
                 bound = q.linear_bound_alpha * k
                 if q.n_regimes is None and not lay.total <= bound + 1e-9:
                     raise InvalidModelError(
@@ -232,12 +250,9 @@ def displacement_lp_distance(q: QMatrixSpec, x, y, i: int, p: float) -> float:
     pts = np.union1d(lx.endpoints(), ly.endpoints())
     a, b = pts[:-1], pts[1:]
     mid = 0.5 * (a + b)
-    total = 0.0
-    for w, dx, dy in zip((b - a).tolist(), lx.displacement(mid).tolist(),
-                         ly.displacement(mid).tolist()):
-        if dx != dy:
-            total += abs(dx - dy) ** p * w
-    return total
+    d = lx.displacement(mid) - ly.displacement(mid)
+    terms = (np.abs(d) ** p * (b - a))[d != 0]
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0  # summed in order
 
 
 def displacement_lp_bound(q: QMatrixSpec, i: int, p: float, dist: float) -> float:

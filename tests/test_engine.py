@@ -156,10 +156,9 @@ def test_skeleton_reads_equal_per_row_layouts():
     lam = rng.integers(1, 12, 500)
     U = rng.uniform(size=500)
     lays = [s.zero_layout(q, k) for k in lam.tolist()]
-    assert np.array_equal(engine._destinations(q, lam, U),
-                          [b.destination(u) for b, u in zip(lays, U)])
-    assert np.array_equal(engine._marks(q, lam, U),
-                          [b.mark(u) for b, u in zip(lays, U.tolist())])
+    new, marks = engine._switch_targets(q, lam, U)
+    assert np.array_equal(new, [b.destination(u) for b, u in zip(lays, U)])
+    assert np.array_equal(marks, [b.mark(u) for b, u in zip(lays, U.tolist())])
     assert np.array_equal(engine._regime_totals(q, lam),
                           [b.total for b in lays])
 
@@ -479,8 +478,13 @@ def _frozen_reference(model, x0, i0, T, dt, stream, replica, K):
     """The frozen-rate scheme for one replica, one scalar step at a time
     (the loop ``run_frozen`` replaced): clock at jump index 2g, mark at
     2g + 1, Euler draws at 2dg + c before a switch and 2dg + d + c after it.
-    Returns the final state, eta, tau_K and the maxima of |X| and regime."""
+    Rates come straight from the callback, so the reference shares no code
+    with the interval layout: the row sum adds the band's rates in
+    ascending order, and the destination is the first whose running sum
+    exceeds ``u * q_i``. Returns the final state, eta, tau_K and the maxima
+    of |X| and regime."""
     d = model.dim
+    q = model.q
     x, i = np.array(x0, dtype=float), int(i0)
     norm = lambda v: float(np.sqrt(np.add.reduce(v * v)))
     eta, tau = math.inf, 0.0 if norm(x) + i > K else math.inf
@@ -493,6 +497,28 @@ def _frozen_reference(model, x0, i0, T, dt, stream, replica, K):
         return x + b * h + s.apply_diffusion(model.diffusion(t, x, i),
                                              math.sqrt(h) * xi)
 
+    def row(x, i):
+        js = q.band(i)
+        return js, [float(q.rate(x, i, j)) for j in js]
+
+    def total(rates):
+        acc = 0.0
+        for r in rates:
+            acc += r
+        return acc
+
+    def destination(x, i, u):
+        js, rates = row(x, i)
+        qi = total(rates)
+        if qi <= 0.0:
+            return i  # an empty row at the switch point
+        v, acc = u * qi, 0.0
+        for j, r in zip(js, rates):
+            acc += r
+            if acc > v:
+                return j
+        return js[-1]  # u * q_i rounded up to q_i
+
     def seen(t, x, i):
         nonlocal tau, xmax, imax
         xmax, imax = max(xmax, norm(x)), max(imax, i)
@@ -502,14 +528,14 @@ def _frozen_reference(model, x0, i0, T, dt, stream, replica, K):
     for g in range(s.SimConfig(horizon=T, dt=dt).n_steps()):
         t0 = g * dt
         t1 = min(T, t0 + dt)
-        qi = model.q.total_rate(x, i)
+        qi = total(row(x, i)[1])
         E = float(stream.exponential(replica, LANE_JUMP, 2 * g))
         s_rel = E / qi if qi > 0 else math.inf
         x = euler(t0, x, i, min(s_rel, t1 - t0), 2 * d * g)
         if s_rel < t1 - t0:
             sw = t0 + s_rel
             u = float(stream.uniform(replica, LANE_JUMP, 2 * g + 1))
-            j = int(s.row_layout(model.q, x, i).destination(u))
+            j = destination(x, i, u)
             if j != i and math.isinf(eta):
                 eta = sw
             i = j

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import switchsde as s
-from switchsde.models import U_CLASSES, SamplingPlan, check_assumptions
+from switchsde.models import (U_CLASSES, SamplingPlan, _ball_sample,
+                              check_assumptions)
 
 
 def quick_plan(**kw):
@@ -135,3 +136,30 @@ def test_apply_diffusion_shapes():
 def test_linear_switching_model_validates_lengths():
     with pytest.raises(ValueError):
         s.linear_switching_model(beta=(1.0, 2.0), a=(0.0,), s=(1.0, 1.0))
+
+
+def test_negative_rate_at_a_sampled_point_raises_with_its_witness():
+    # q_12 turns negative for x > 5: a broken model, not a failed condition
+    def rate(x, i, j):
+        return 1.0 - 0.2 * float(x[0]) if (i, j) == (1, 2) else 1.0
+
+    q = s.QMatrixSpec(rate=rate, kappa=1, n_regimes=2, lipschitz_cq=1.0,
+                      linear_bound_alpha=10.0, linear_bound_beta=1.0)
+    m = s.ModelSpec(dim=1, drift=lambda t, x, i: -np.asarray(x, dtype=float),
+                    diffusion=lambda t, x, i: 1.0, q=q,
+                    growth_c=lambda t: 1.0,
+                    dissipativity_c=lambda t, i: 1.0,
+                    diffusion_mod_c=lambda t, i: 1.0,
+                    ellipticity_lambda=lambda t: 1.0, model_id="neg_rate")
+    plan = quick_plan()
+    # the rate points are the third ball sample; the witness is the first
+    # of them past x = 5, in sample order
+    rng = np.random.default_rng(plan.seed)
+    for n in (plan.n_pairs, plan.n_pairs):
+        _ball_sample(rng, n, 1, plan.radius)
+    Xr = _ball_sample(rng, plan.n_rate_pairs, 1, plan.radius)
+    first = Xr[np.argmax(Xr[:, 0] > 5.0)]
+    assert first[0] > 5.0
+    with pytest.raises(s.InvalidModelError) as exc:
+        check_assumptions(m, plan)
+    assert str(exc.value) == f"negative rate at (x={first}, i=1, j=2)"

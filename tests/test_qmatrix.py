@@ -236,3 +236,95 @@ def test_zero_layout_builds_each_row_once_under_threads():
     for k in (3, 1, 2):
         s.zero_layout(one, k)
     assert len(calls) == len(single) > 0
+
+
+# --- batch reads ---------------------------------------------------------------
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+_BATCH_SPECS = {
+    "random_banded": lambda: s.random_banded_q(np.random.default_rng(18),
+                                               dim=2, max_regime=12),
+    "truncated_birth_death": lambda: s.truncate_q(birth_death_q(), 4),
+    "one_regime": lambda: s.QMatrixSpec(rate=lambda x, i, j: 1.0, kappa=1,
+                                        n_regimes=1),
+}
+
+
+@pytest.mark.parametrize("name", list(_BATCH_SPECS))
+def test_batch_reads_equal_stacked_point_reads(name):
+    q = _BATCH_SPECS[name]()
+    rng = np.random.default_rng(81)
+    d = 2 if name == "random_banded" else 1
+    # |x| up to 5.5 crosses the truncated spec's cutoff shell 4 < |x| < 5
+    X = rng.uniform(-5.5, 5.5, (9, d))
+    U = rng.uniform(size=len(X))
+    for i in range(1, (q.n_regimes or 12) + 1):
+        js, rates = q.row(X, i)
+        points = [q.row(x, i) for x in X]
+        assert all(pj == js for pj, _ in points)
+        assert _bits(rates) == _bits(np.stack([r for _, r in points]))
+        assert _bits(q.total_rate(X, i)) == _bits([q.total_rate(x, i) for x in X])
+        # a table of rows 1..i holds each row's rates, zero-padded
+        bands, table = q.row(X, range(1, i + 1))
+        for k, (jk, tk) in enumerate(zip(bands, table.transpose(1, 0, 2)), 1):
+            assert jk == q.band(k)
+            assert _bits(tk[:, :len(jk)]) == _bits(q.row(X, k)[1])
+            assert not tk[:, len(jk):].any()
+        lay = s.row_layout(q, X, i)
+        lays = [s.row_layout(q, x, i) for x in X]
+        assert lay.i == i and _bits(lay.dests) == _bits(lays[0].dests)
+        for field in ("rates", "right", "edges", "start", "total"):
+            assert _bits(getattr(lay, field)) == _bits(
+                [getattr(one, field) for one in lays]), field
+        assert _bits(lay.destination(U)) == _bits(
+            [one.destination(u) for one, u in zip(lays, U)])
+        assert _bits(lay.mark(U)) == _bits(
+            [one.mark(u) for one, u in zip(lays, U.tolist())])
+        # the block start adds the rows below one by one, each in
+        # ascending destination order, straight off the callback
+        for x, one in zip(X, lays):
+            start = 0.0
+            for k in range(1, i):
+                row_sum = 0.0
+                for j in q.band(k):
+                    row_sum += float(q.rate(x, k, j))
+                start += row_sum
+            assert one.start == start
+    if name == "one_regime":
+        assert lay.total.tolist() == [0.0] * len(X)
+        assert lay.destination(U).tolist() == [1] * len(X)
+
+
+def test_batch_read_names_the_first_bad_point():
+    # point [0.5] is the first with a bad rate; point [3.0] has a bad rate
+    # earlier in its row, but it comes later in the batch
+    def rate(x, i, j):
+        if (i, j) == (2, 3) and x[0] > 0.0:
+            return -1.0
+        if (i, j) == (2, 1) and x[0] > 2.0:
+            return math.nan
+        return 0.5
+
+    q = s.QMatrixSpec(rate=rate, kappa=1, n_regimes=3)
+    X = np.array([[-1.0], [0.5], [3.0]])
+    msg = r"negative rate at \(x=\[0\.5\], i=2, j=3\)"
+    for read in (q.row, q.total_rate, lambda X, i: s.row_layout(q, X, i + 1)):
+        with pytest.raises(s.InvalidModelError, match=msg):
+            read(X, 2)
+    with pytest.raises(s.InvalidModelError,
+                       match=r"non-finite rate at \(x=\[3\.\], i=2, j=1\)"):
+        q.row(X[2:], 2)
+
+
+def test_destination_skips_empty_intervals():
+    # a zero rate is an empty interval: u = 0 lands past it, at any point
+    q = s.QMatrixSpec(rate=lambda x, i, j: 0.0 if j == 1 else 1.0, kappa=2,
+                      n_regimes=3)
+    # row 3: destinations [1, 2] with rates [0, 1]
+    assert int(s.row_layout(q, [0.0], 3).destination(0.0)) == 2
+    batch = s.row_layout(q, np.zeros((2, 1)), 3)
+    assert batch.destination(np.zeros(2)).tolist() == [2, 2]
