@@ -11,12 +11,17 @@ timings:
 
     PYTHONPATH=src python3 scripts/report_hashes.py
 
+With ``--expect BENCH_<n>.json`` each sha256 is compared with that file's
+``criteria`` block; every criterion that differs (or is missing from either
+side) is named on stderr and the exit status is 1.
+
 The full run takes under a minute on a 2-core machine; truncation and
 moments take most of it.
 """
 
 import argparse
 import hashlib
+import json
 import sys
 import tempfile
 import time
@@ -30,9 +35,16 @@ from switchsde import reports as rp  # noqa: E402
 
 
 def main():
-    argparse.ArgumentParser(description=__doc__,
-                            formatter_class=argparse.RawDescriptionHelpFormatter
-                            ).parse_args()
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--expect", metavar="BENCH_<n>.json",
+                        help="compare the hashes with this file's criteria")
+    args = parser.parse_args()
+    expected = None
+    if args.expect:
+        bench = json.loads(Path(args.expect).read_text())
+        expected = {c["criterion"]: c["sha256"] for c in bench["criteria"]}
+    got = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, fn in acc.CRITERIA:
             t0 = time.perf_counter()
@@ -40,9 +52,18 @@ def main():
             seconds = time.perf_counter() - t0
             path = Path(tmp) / f"{name}.jsonl"
             rp.write_jsonl(path, records)
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{name} {digest} {seconds:.2f}", flush=True)
+            got[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{name} {got[name]} {seconds:.2f}", flush=True)
+    if expected is None:
+        return 0
+    differ = [name for name in {**got, **expected}
+              if got.get(name) != expected.get(name)]
+    if differ:
+        print(f"differ from {args.expect}: {', '.join(differ)}", file=sys.stderr)
+        return 1
+    print(f"all {len(got)} match {args.expect}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

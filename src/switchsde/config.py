@@ -105,11 +105,13 @@ def config_hash(cfg: ScenarioConfig) -> str:
 
 
 # task keys that count cases (an empty sweep would verify nothing) and keys
-# that name regimes or truncation levels, one or a list: positive integers
+# that name regimes, truncation levels or a dimension, one or a list:
+# positive integers
 _COUNT_KEYS = {"cases", "compare_cases"}
 _INTEGER_KEYS = {"cases": "case count", "compare_cases": "case count",
                  "i0": "start regime", "starts": "start regime",
-                 "k_values": "start regime", "K_values": "truncation level"}
+                 "k_values": "start regime", "K_values": "truncation level",
+                 "i_max": "largest start regime", "dim": "dimension"}
 # task keys that hold times, one or a list: finite and nonnegative
 _TIME_KEYS = {"t", "T_values", "t_grid", "times"}
 

@@ -50,21 +50,17 @@ C1_MAXIMAL = 3.0
 
 # --- estimate containers ------------------------------------------------------
 
-class _Aborts:
-    """The abort rule of an estimate with ``n_replicas`` and ``n_aborted``."""
+@dataclass(frozen=True)
+class McEstimate:
+    mean: float
+    stderr: float
+    n_replicas: int
+    n_aborted: int = 0
 
     @property
     def flagged(self) -> bool:
         """More than 0.1% of replicas aborted: treat the estimate as suspect."""
         return self.n_aborted > 0.001 * self.n_replicas
-
-
-@dataclass(frozen=True)
-class McEstimate(_Aborts):
-    mean: float
-    stderr: float
-    n_replicas: int
-    n_aborted: int = 0
 
 
 def mc_from_values(values: np.ndarray, aborted: Optional[np.ndarray] = None) -> McEstimate:
@@ -99,14 +95,14 @@ def _bound_report(checker, lhs, rhs, margin, **params) -> BoundReport:
                        params=params)
 
 
-@dataclass(frozen=True)
-class GapEstimate(_Aborts):
+@dataclass(frozen=True, kw_only=True)
+class GapEstimate(McEstimate):
+    """The replica mean of a paired difference at start offset ``radius``."""
     radius: float
-    gap: float
-    stderr: float
-    n_replicas: int
-    n_aborted: int
-    mean_signed: float
+
+    @property
+    def gap(self) -> float:
+        return abs(self.mean)
 
 
 def wilson_lower(successes: int, n: int, z: float = 3.0) -> float:
@@ -174,6 +170,12 @@ def _stacked_run(model, scheme, starts, i0, T, n, cfg, threads, *, salt=0,
 
 # --- semigroup and first-jump estimators ---------------------------------------
 
+def _terminal_mean(model, scheme, salt, f, t, x, i, n, cfg, threads) -> McEstimate:
+    out = _stacked_run(model, scheme, [x], i, t, n, cfg, threads, salt=salt)
+    vals = np.asarray(f(out["x"][0], out["regime"][0]), dtype=float)
+    return mc_from_values(vals, out["aborted"][0])
+
+
 def semigroup_estimate(model: ModelSpec, f: Callable, t: float, x, i: int,
                        n: int, cfg: SimConfig, threads: int = 1) -> McEstimate:
     """Replica mean of ``f(X_t, Lambda_t)`` started from ``(x, i)``.
@@ -181,9 +183,7 @@ def semigroup_estimate(model: ModelSpec, f: Callable, t: float, x, i: int,
     ``f`` is vectorized: ``f(X, lam)`` with ``X`` of shape (m, d) and ``lam``
     of shape (m,) returns (m,) values.
     """
-    out = _stacked_run(model, cfg.scheme, [x], i, t, n, cfg, threads)
-    vals = np.asarray(f(out["x"][0], out["regime"][0]), dtype=float)
-    return mc_from_values(vals, out["aborted"][0])
+    return _terminal_mean(model, cfg.scheme, 0, f, t, x, i, n, cfg, threads)
 
 
 def first_jump_estimate(model: ModelSpec, f: Callable, t: float, x, i: int,
@@ -197,10 +197,8 @@ def first_jump_estimate(model: ModelSpec, f: Callable, t: float, x, i: int,
     wrong holding law (ROADMAP item 4 replaces it with the first-switch
     decomposition).
     """
-    out = _stacked_run(model, EVENT_DRIVEN, [x], i, t, n, cfg, threads,
-                       salt=_SALT_FIRST_JUMP)
-    vals = np.asarray(f(out["x"][0], out["regime"][0]), dtype=float)
-    return mc_from_values(vals, out["aborted"][0])
+    return _terminal_mean(model, EVENT_DRIVEN, _SALT_FIRST_JUMP, f, t, x, i, n,
+                          cfg, threads)
 
 
 # --- moment bound ----------------------------------------------------------------
@@ -309,14 +307,26 @@ def harnack_cost_values(model: ModelSpec, lam_T: np.ndarray, T: float,
     ucls = model.u_class()
     phi_v = ucls.phi(dist_sq)
     lam_t = float(model.ellipticity_lambda(T))
-    if lam_t <= 0:
-        raise InvalidModelError("ellipticity floor must be positive")
     out = np.empty(len(lam_T))
     for k, rows in regime_groups(lam_T):
         c = float(model.dissipativity_c(T, k))
         denom = lam_t * (1.0 - math.exp(-2.0 * c * T / ucls.gamma))
         out[rows] = c * phi_v / denom
     return out
+
+
+def _require_harnack_prerequisites(model: ModelSpec, horizons) -> None:
+    """Positive horizons, state-independent rates, and every
+    ``HARNACK_PREREQUISITES`` check sampled at t = 0 and at each horizon."""
+    for T in horizons:
+        if not T > 0:
+            raise ValueError(f"the Harnack horizon must be positive, got T={T}")
+    if not model.q.state_independent:
+        raise UnsupportedSchemeError("the coupling argument needs "
+                                     "state-independent rates")
+    plan = SamplingPlan(n_pairs=1024, n_rate_pairs=32, max_regime=8,
+                        times=(0.0, *map(float, horizons)))
+    check_assumptions(model, plan).require(*HARNACK_PREREQUISITES)
 
 
 def harnack_check(model: ModelSpec, f: Callable, x, y, i: int, T: float,
@@ -331,22 +341,12 @@ def harnack_check(model: ModelSpec, f: Callable, x, y, i: int, T: float,
     where ``se_rhs`` combines the delta-method error of the log term with the
     cost term's error. ``params["sigma_gap"]`` reports the raw gap in
     combined-sigma units for classifying statistical misses. With
-    ``verify`` the model must first pass every ``HARNACK_PREREQUISITES``
-    check; ``T`` must be positive.
+    ``verify``, ``T`` must be positive, the rates state-independent and the
+    model must pass every ``HARNACK_PREREQUISITES`` check sampled at t = 0
+    and t = T.
     """
-    if not T > 0:
-        raise ValueError(f"the Harnack horizon must be positive, got T={T}")
-    if not model.q.state_independent:
-        raise UnsupportedSchemeError("the coupling argument needs "
-                                     "state-independent rates")
-    ucls = model.u_class()
-    if not ucls.u_prime_nonpositive:
-        raise InvalidModelError(
-            f"modulus class {ucls.name!r} is not nonincreasing")
     if verify:
-        plan = SamplingPlan(n_pairs=512, n_rate_pairs=32, max_regime=8,
-                            times=(0.0, T))
-        check_assumptions(model, plan).require(*HARNACK_PREREQUISITES)
+        _require_harnack_prerequisites(model, (T,))
 
     x = as_point(x)
     y = as_point(y)
@@ -388,12 +388,12 @@ def harnack_sweep(model: ModelSpec, n_cases: int, n: int, cfg: SimConfig,
                   x_radius: float = 1.0) -> list[BoundReport]:
     """Randomized (x, y, T, f) sweep of the log-transport inequality.
 
-    Model assumptions are verified once up front; individual cases reuse the
-    verification. Case ``c`` runs at seed ``cfg.seed + c`` so the sweep is
-    reproducible case-by-case.
+    The prerequisites of ``harnack_check`` are verified once up front, with
+    the ``HARNACK_PREREQUISITES`` sampled at t = 0 and at every horizon in
+    ``T_choices``; individual cases reuse the verification. Case ``c`` runs
+    at seed ``cfg.seed + c`` so the sweep is reproducible case-by-case.
     """
-    plan = SamplingPlan(n_pairs=1024, n_rate_pairs=32, max_regime=8)
-    check_assumptions(model, plan).require(*HARNACK_PREREQUISITES)
+    _require_harnack_prerequisites(model, T_choices)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     n_reg = model.q.n_regimes or 3
     cases = []
@@ -454,18 +454,17 @@ def feller_modulus(model: ModelSpec, f: Callable, t: float, x, i: int,
     for b, r in enumerate(radii, start=1):
         fr = np.asarray(f(out["x"][b], out["regime"][b]), dtype=float)
         est = mc_from_values(fr - f0, ab0 | out["aborted"][b])
-        gaps.append(GapEstimate(radius=float(r), gap=abs(est.mean),
-                                stderr=est.stderr, n_replicas=est.n_replicas,
-                                n_aborted=est.n_aborted, mean_signed=est.mean))
+        gaps.append(GapEstimate(**vars(est), radius=float(r)))
     return gaps
 
 
 def gap_trend_pass(gaps: Sequence[GapEstimate]) -> bool:
-    """Monotone-decrease trend at 3 sigma: each gap below the previous one
-    plus combined noise (radii assumed listed in decreasing order). A
-    flagged gap fails the trend."""
+    """Monotone-decrease trend at 3 sigma: ordered by radius, largest first,
+    each gap below the previous one plus combined noise. A flagged gap fails
+    the trend."""
     if any(g.flagged for g in gaps):
         return False
+    gaps = sorted(gaps, key=lambda g: g.radius, reverse=True)
     for prev, cur in zip(gaps, gaps[1:]):
         slack = 3.0 * math.sqrt(prev.stderr ** 2 + cur.stderr ** 2)
         if cur.gap > prev.gap + slack:

@@ -317,31 +317,17 @@ def truncate_q(q: QMatrixSpec, K: int) -> QMatrixSpec:
     base_rate = q.rate
     base_n = q.n_regimes
 
-    def in_base(i: int, j: int) -> bool:
-        if i == j or i < 1 or j < 1:
-            return False
-        if base_n is not None and (i > base_n or j > base_n):
-            return False
-        return abs(j - i) <= kappa
-
     def folded(x, i, j):
-        phi = float(smooth_cutoff(np.linalg.norm(as_point(x)), K))
-        if i <= K + kappa:
-            if j <= K + kappa:
-                return (base_rate(x, i, j) * phi) if in_base(i, j) else 0.0
-            if j == n_out:
-                s = 0.0
-                for jj in range(i - kappa, i + kappa + 1):
-                    if jj >= n_out and in_base(i, jj):
-                        s += base_rate(x, i, jj)
-                return s * phi
+        if i == j or abs(j - i) > kappa or min(i, j) < 1 or max(i, j) > n_out:
             return 0.0
-        if i == n_out:
-            if K + 1 <= j <= K + kappa:
-                extra = base_rate(x, i, j) * phi if in_base(i, j) else 0.0
-                return 1.0 + extra
-            return 0.0
-        return 0.0
+        # the base targets folded into j, all in band: j itself, or every
+        # jj >= n_out; a finite base space has no rates beyond base_n
+        s = 0.0
+        for jj in range(j, (i + kappa if j == n_out else j) + 1):
+            if base_n is None or max(i, jj) <= base_n:
+                s += base_rate(x, i, jj)
+        s *= float(smooth_cutoff(np.linalg.norm(as_point(x)), K))
+        return 1.0 + s if i == n_out else s
 
     # metadata propagation: the boundary row adds kappa unit rates, and the
     # cutoff adds (slope * local rate level) to the Lipschitz constant

@@ -488,6 +488,11 @@ BAD_TASK_VALUES = {
     "feller-negative-t": ("feller", {"t": -1}),
     "truncation-negative-t": ("truncation-check", {"t": -1,
                                                    "compare_cases": 2}),
+    "jump-lipschitz-zero-dim": ("jump-lipschitz", {"cases": 5, "dim": 0}),
+    "jump-lipschitz-fractional-dim": ("jump-lipschitz", {"cases": 5,
+                                                         "dim": 1.5}),
+    "jump-lipschitz-fractional-i-max": ("jump-lipschitz", {"cases": 5,
+                                                           "i_max": 2.7}),
 }
 
 

@@ -147,6 +147,16 @@ def test_harnack_rejects_bad_inputs(scalar_rate_q):
     with pytest.raises(ValueError, match="horizon must be positive"):
         s.harnack_check(s.zoo("switching_ou"), s.gauss_function(), [0.0],
                         [1.0], 1, 0.0, 100, ecfg())
+    # both check every horizon they run: the noise switches off after t = 1,
+    # so the ellipticity floor fails at t = 2 only
+    quiet = replace(s.zoo("switching_ou"),
+                    diffusion=lambda t, x, i: 1.0 if t <= 1.0 else 0.0)
+    with pytest.raises(s.InvalidModelError, match=failed) as single:
+        s.harnack_check(quiet, s.gauss_function(), [0.0], [1.0], 1, 2.0, 100,
+                        ecfg())
+    with pytest.raises(s.InvalidModelError, match=failed) as sweep:
+        s.harnack_sweep(quiet, 2, 100, ecfg(), T_choices=(2.0,))
+    assert str(sweep.value) == str(single.value)
 
 
 def test_harnack_sweep_summary_classification(ou_model):
@@ -166,6 +176,8 @@ def test_feller_gaps_shrink_for_continuous_function(ou_model):
                             [0.8, 0.2, 0.05], 8000, ecfg(dt=2e-3, seed=84))
     assert s.gap_trend_pass(gaps)
     assert gaps[-1].gap < gaps[0].gap
+    # the verdict orders the gaps by radius, whatever order they come in
+    assert s.gap_trend_pass(gaps[::-1])
 
 
 def test_feller_degenerate_floor():
@@ -182,7 +194,7 @@ def test_feller_degenerate_floor():
 
 def test_feller_verdicts_fail_on_aborted_replicas():
     # every replica aborted: all gaps NaN
-    dead = [s.GapEstimate(r, math.nan, math.nan, 200, 200, math.nan)
+    dead = [s.GapEstimate(math.nan, math.nan, 200, 200, radius=r)
             for r in (0.5, 0.1)]
     assert not s.gap_trend_pass(dead)
     # a cubic escape drift overflows some replicas; the survivors' gaps alone

@@ -195,6 +195,52 @@ def test_truncate_finite_chain_beyond_support():
     assert qk.rate(x, 2, 5) == 0.0
 
 
+def folded_reference(q, K, x, i, j):
+    """``truncate_q``'s docstring rule, cell by cell: scale by the cutoff
+    after summing, and add the unit return rate last."""
+    kappa, n_out = q.kappa, K + q.kappa + 1
+
+    def base(jj):  # q's rate where q has one, else 0
+        inside = (min(i, jj) >= 1 and jj != i and abs(jj - i) <= kappa
+                  and (q.n_regimes is None or max(i, jj) <= q.n_regimes))
+        return q.rate(x, i, jj) if inside else 0.0
+
+    if i == j or not (1 <= i <= n_out and 1 <= j <= n_out):
+        return 0.0
+    phi = float(smooth_cutoff(np.linalg.norm(x), K))
+    if i == n_out:  # unit rates back to K+1..K+kappa plus the scaled original
+        return 1.0 + base(j) * phi if j >= K + 1 else 0.0
+    if j < n_out:
+        return base(j) * phi
+    out_of_range = 0.0  # every target >= n_out, in ascending order
+    for jj in range(n_out, i + kappa + 1):
+        out_of_range += base(jj)
+    return out_of_range * phi
+
+
+@pytest.mark.parametrize("K", [1, 3, 5])
+@pytest.mark.parametrize("spec", ["birth_death", "banded_small", "banded_wide"])
+def test_truncate_rates_match_the_fold_rule_bitwise(spec, K):
+    q, d = {"birth_death": (birth_death_q(), 1),
+            "banded_small": (s.random_banded_q(np.random.default_rng(3), dim=2,
+                                               max_regime=3), 2),
+            "banded_wide": (s.random_banded_q(np.random.default_rng(4), dim=2,
+                                              max_regime=12), 2)}[spec]
+    qk = s.truncate_q(q, K)
+    kappa = q.kappa
+    unit = np.ones(d) / math.sqrt(d)
+    got, want = [], []
+    # inside the cutoff, on its transition and beyond it
+    for r in (0.0, 0.5 * K, K + 0.3, K + 0.8, K + 2.0):
+        x = r * unit
+        for i in range(K + kappa + 3):
+            for j in range(K + 2 * kappa + 3):
+                got.append(qk.rate(x, i, j))
+                want.append(folded_reference(q, K, x, i, j))
+    np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(want).view(np.uint64))
+
+
 def test_truncate_rejects_bad_level():
     with pytest.raises(ValueError):
         s.truncate_q(birth_death_q(), 0)
