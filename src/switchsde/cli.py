@@ -69,31 +69,37 @@ def _gate(model, subcommand) -> None:
         check_assumptions(model, plan).require(*names)
 
 
-def _output_dir(cfg: ScenarioConfig) -> Path:
-    """Create the output directory before any work; one that cannot be made
-    is a ConfigError naming it."""
-    outdir = Path(cfg.output.get("dir", "out"))
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {outdir}: "
-                          f"{exc}") from None
-    return outdir
+def _output_paths(cfg: ScenarioConfig) -> dict:
+    """Output file paths by config key, for the reports and every other file
+    the config names, each directory made before any work; a name that is
+    not a string, or a directory that cannot be made, is a ConfigError."""
+    out = {"reports": "reports.jsonl", **cfg.output}
+    outdir = Path(out.pop("dir", "out"))
+    paths = {}
+    for key, name in out.items():
+        if name or key == "reports":  # the other files are optional
+            if not isinstance(name, str) or not name:
+                raise ConfigError(f"output.{key} {name!r} is not a file name")
+            paths[key] = outdir / name
+    for folder in [outdir, *(path.parent for path in paths.values())]:
+        try:
+            folder.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {folder}: "
+                              f"{exc}") from None
+    return paths
 
 
-def _write_outputs(cfg: ScenarioConfig, outdir: Path, records: list[dict],
+def _write_outputs(paths: dict, records: list[dict],
                    traj: Trajectory | None = None) -> None:
-    out = cfg.output
-    rep.write_jsonl(outdir / out.get("reports", "reports.jsonl"), records)
-    if traj is not None:
-        if out.get("trajectory"):
-            traj.to_csv(outdir / out["trajectory"])
-        if out.get("trajectory_binary"):
-            traj.to_binary(outdir / out["trajectory_binary"])
-    if out.get("plot_data") and records:
-        plottable = [r for r in records if r.get("checker") != "summary"]
-        if plottable:
-            rep.emit_plot_data(plottable, outdir / out["plot_data"])
+    rep.write_jsonl(paths["reports"], records)
+    if traj is not None and "trajectory" in paths:
+        traj.to_csv(paths["trajectory"])
+    if traj is not None and "trajectory_binary" in paths:
+        traj.to_binary(paths["trajectory_binary"])
+    plottable = [r for r in records if r.get("checker") != "summary"]
+    if "plot_data" in paths and plottable:
+        rep.emit_plot_data(plottable, paths["plot_data"])
 
 
 def _run_simulate(model, sim, task, digest):
@@ -267,9 +273,9 @@ def run(subcommand: str, config_path, *, seed=None, replicas=None, dt=None,
         sim = build_sim(cfg, seed=seed, replicas=replicas, dt=dt,
                         threads=threads)
         _gate(model, subcommand)
-        outdir = _output_dir(cfg)
+        paths = _output_paths(cfg)
         records, traj = _RUNNERS[subcommand](model, sim, task, config_hash(cfg))
-        _write_outputs(cfg, outdir, records, traj)
+        _write_outputs(paths, records, traj)
     except NumericalBlowupError as exc:
         print(f"numerical blowup: {exc}", file=sys.stderr)
         return 4

@@ -104,58 +104,50 @@ def config_hash(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-# task keys that count cases (an empty sweep would verify nothing) and keys
-# that name regimes, truncation levels or a dimension, one or a list:
-# positive integers
-_COUNT_KEYS = {"cases", "compare_cases"}
-_INTEGER_KEYS = {"cases": "case count", "compare_cases": "case count",
-                 "i0": "start regime", "starts": "start regime",
-                 "k_values": "start regime", "K_values": "truncation level",
-                 "i_max": "largest start regime", "dim": "dimension"}
-# task keys that hold times, one or a list: finite and nonnegative
-_TIME_KEYS = {"t", "T_values", "t_grid", "times"}
-
-
-def _entries(task: dict, key: str) -> list:
-    """The values under ``key``: a list's entries, else the one value (a case
-    count is one value, never a list)."""
-    value = task[key]
-    if isinstance(value, list) and key not in _COUNT_KEYS:
-        return value
-    return [value]
+# each task key's shape (a list, or one value) and what its values are:
+# times are finite and >= 0, numbers are read by the runner, and every other
+# kind is a positive integer; the runner reads x0, f and mode as they come
+_TASK_VALUES = {
+    "cases": (False, "case count"), "compare_cases": (False, "case count"),
+    "i0": (False, "start regime"), "i_max": (False, "largest start regime"),
+    "dim": (False, "dimension"), "starts": (True, "start regime"),
+    "k_values": (True, "start regime"), "K_values": (True, "truncation level"),
+    "t": (False, "time"), "T_values": (True, "time"), "t_grid": (True, "time"),
+    "times": (True, "time"), "p_values": (True, "number"),
+    "radii": (True, "number"), "x_radius": (False, "number"),
+    "min_pass_rate": (False, "number"), "floor": (False, "number"),
+    "min_fraction": (False, "number"),
+}
 
 
 def validate_task(cfg: ScenarioConfig, subcommand: str) -> dict:
-    """The task section of ``subcommand``: known keys only, case counts and
-    regimes positive integers, times finite and nonnegative, and no empty
-    list, else a ``ConfigError``."""
+    """The task section of ``subcommand``: known keys only, each of the
+    shape ``_TASK_VALUES`` gives it, no empty list, case counts and regimes
+    positive integers and times finite and nonnegative, else a
+    ``ConfigError`` naming the key."""
     if subcommand not in TASK_KEYS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     task = cfg.task
     _reject_unknown(task, TASK_KEYS[subcommand], f"task ({subcommand})")
-    for key in sorted(_INTEGER_KEYS.keys() & set(task)):
-        for value in _entries(task, key):
-            what = f"task.{key}: {_INTEGER_KEYS[key]} {value!r}"
+    for key, value in sorted(task.items()):
+        listed, what = _TASK_VALUES.get(key, (isinstance(value, list), "number"))
+        if isinstance(value, list) != listed:
+            raise ConfigError(f"task.{key} must be "
+                              f"{'a list' if listed else 'one value'}, "
+                              f"got {value!r}")
+        if listed and not value:
+            raise ConfigError(f"task.{key} holds an empty list")
+        if what == "number":
+            continue  # read by the runner
+        need = "a finite number >= 0" if what == "time" else "a positive integer"
+        for v in value if listed else [value]:
             try:
-                count = int(value)
+                ok = (float(v) == v and math.isfinite(v) and v >= 0
+                      if what == "time" else int(v) == v and v >= 1)
             except (ValueError, TypeError, OverflowError) as exc:
-                raise ConfigError(f"{what} is not a positive integer "
-                                  f"({exc})") from None
-            if count != value or count < 1:
-                raise ConfigError(f"{what} is not a positive integer")
-    for key in sorted(_TIME_KEYS & set(task)):
-        for value in _entries(task, key):
-            what = f"task.{key}: time {value!r}"
-            try:
-                t = float(value)
-            except (ValueError, TypeError, OverflowError) as exc:
-                raise ConfigError(f"{what} is not a finite number >= 0 "
-                                  f"({exc})") from None
-            if t != value or not (math.isfinite(t) and t >= 0):
-                raise ConfigError(f"{what} is not a finite number >= 0")
-    empty = sorted(k for k, v in task.items() if isinstance(v, list) and not v)
-    if empty:
-        raise ConfigError(f"task keys {empty} hold empty lists")
+                ok, need = False, f"{need} ({exc})"
+            if not ok:
+                raise ConfigError(f"task.{key}: {what} {v!r} is not {need}")
     return task
 
 

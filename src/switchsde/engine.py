@@ -568,14 +568,13 @@ def run_frozen(model: ModelSpec, x0, i0, T: float, dt: float,
 # --- trajectory-level operations ----------------------------------------------
 
 def simulate_path(model: ModelSpec, x0, i0: int, cfg: SimConfig, *,
-                  replica: int = 0,
-                  stream: Optional[NoiseStream] = None) -> Trajectory:
+                  replica: int = 0) -> Trajectory:
     """One recorded path: the one-row view (``recorded_path``) of replica
-    ``replica`` through the runner of ``cfg.scheme`` in recording mode."""
+    ``replica`` of the stream of seed ``cfg.seed`` through the runner of
+    ``cfg.scheme`` in recording mode."""
     runner = run_event_driven if cfg.scheme == EVENT_DRIVEN else run_frozen
     out = runner(model, as_point(x0), i0, cfg.horizon, cfg.dt,
-                 stream or NoiseStream(cfg.seed),
-                 np.array([replica], dtype=np.uint64),
+                 NoiseStream(cfg.seed), np.array([replica], dtype=np.uint64),
                  trunc_level=cfg.truncation, record=True)
     return recorded_path(out, 0, seed=cfg.seed)
 
@@ -637,16 +636,15 @@ def check_truncation_start(x0, i0, K) -> None:
 
 
 def simulate_truncated(model: ModelSpec, x0, i0: int, K: int, cfg: SimConfig, *,
-                       replica: int = 0,
-                       stream: Optional[NoiseStream] = None) -> Trajectory:
+                       replica: int = 0) -> Trajectory:
     """Frozen-rate simulation of the K-truncated process.
 
-    Shares the untruncated run's draw addressing, so with the same stream the
-    two paths coincide exactly until the first sampled time with
+    Shares the untruncated run's draw addressing, so at the same seed and
+    replica the two paths coincide exactly until the first sampled time with
     ``|X_t| + Lambda_t > K``.
     """
     x = as_point(x0)
     check_truncation_start(x, i0, K)
     cfg_t = replace(cfg, truncation=K, scheme=FROZEN_RATE)
     return simulate_path(truncated_model(model, K), x, i0, cfg_t,
-                         replica=replica, stream=stream)
+                         replica=replica)

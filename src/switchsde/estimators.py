@@ -105,8 +105,9 @@ class GapEstimate(McEstimate):
         return abs(self.mean)
 
 
-def wilson_lower(successes: int, n: int, z: float = 3.0) -> float:
-    """Lower Wilson score bound for a binomial proportion."""
+def wilson_lower(successes: int, n: int) -> float:
+    """Lower 3-sigma Wilson score bound for a binomial proportion."""
+    z = 3.0
     if n <= 0:
         return 0.0
     p = successes / n
@@ -288,7 +289,7 @@ def holding_time_check(model: ModelSpec, x, k: int, K: int,
         p_hat = cnt / n
         # a sure empirical event is scored at probability one (the t = 0 edge,
         # where survival is almost sure and the floor equals one exactly)
-        wl = 1.0 if cnt == n else wilson_lower(cnt, n, 3.0)
+        wl = 1.0 if cnt == n else wilson_lower(cnt, n)
         floor = holding_probability_floor(model, k, K, t)
         lhs = McEstimate(p_hat, math.sqrt(max(p_hat * (1 - p_hat), 0.0) / n), n,
                          n_aborted)
@@ -317,21 +318,22 @@ def harnack_cost_values(model: ModelSpec, lam_T: np.ndarray, T: float,
 
 def _require_harnack_prerequisites(model: ModelSpec, horizons) -> None:
     """Positive horizons, state-independent rates, and every
-    ``HARNACK_PREREQUISITES`` check sampled at t = 0 and at each horizon."""
+    ``HARNACK_PREREQUISITES`` check, under one plan per horizon T sampled at
+    t = 0 and t = T (the model keeps each report)."""
     for T in horizons:
         if not T > 0:
             raise ValueError(f"the Harnack horizon must be positive, got T={T}")
     if not model.q.state_independent:
         raise UnsupportedSchemeError("the coupling argument needs "
                                      "state-independent rates")
-    plan = SamplingPlan(n_pairs=1024, n_rate_pairs=32, max_regime=8,
-                        times=(0.0, *map(float, horizons)))
-    check_assumptions(model, plan).require(*HARNACK_PREREQUISITES)
+    for T in horizons:
+        plan = SamplingPlan(n_pairs=1024, n_rate_pairs=32, max_regime=8,
+                            times=(0.0, float(T)))
+        check_assumptions(model, plan).require(*HARNACK_PREREQUISITES)
 
 
 def harnack_check(model: ModelSpec, f: Callable, x, y, i: int, T: float,
-                  n: int, cfg: SimConfig, threads: int = 1,
-                  verify: bool = True) -> BoundReport:
+                  n: int, cfg: SimConfig, threads: int = 1) -> BoundReport:
     """Check ``E[log f](from y) <= log E[f](from x) + transport cost``.
 
     Both sides run under common random numbers in one stacked batch; the
@@ -340,13 +342,11 @@ def harnack_check(model: ModelSpec, f: Callable, x, y, i: int, T: float,
     both sides by 3 sigma: ``margin = (rhs + 3 se_rhs) - (lhs - 3 se_lhs)``
     where ``se_rhs`` combines the delta-method error of the log term with the
     cost term's error. ``params["sigma_gap"]`` reports the raw gap in
-    combined-sigma units for classifying statistical misses. With
-    ``verify``, ``T`` must be positive, the rates state-independent and the
-    model must pass every ``HARNACK_PREREQUISITES`` check sampled at t = 0
-    and t = T.
+    combined-sigma units for classifying statistical misses. ``T`` must be
+    positive, the rates state-independent and the model must pass every
+    ``HARNACK_PREREQUISITES`` check sampled at t = 0 and t = T.
     """
-    if verify:
-        _require_harnack_prerequisites(model, (T,))
+    _require_harnack_prerequisites(model, (T,))
 
     x = as_point(x)
     y = as_point(y)
@@ -388,9 +388,9 @@ def harnack_sweep(model: ModelSpec, n_cases: int, n: int, cfg: SimConfig,
                   x_radius: float = 1.0) -> list[BoundReport]:
     """Randomized (x, y, T, f) sweep of the log-transport inequality.
 
-    The prerequisites of ``harnack_check`` are verified once up front, with
-    the ``HARNACK_PREREQUISITES`` sampled at t = 0 and at every horizon in
-    ``T_choices``; individual cases reuse the verification. Case ``c`` runs
+    The prerequisites of ``harnack_check`` are verified up front for every
+    horizon in ``T_choices``, before any case runs; each case's own check
+    then reads the report its model keeps for that horizon. Case ``c`` runs
     at seed ``cfg.seed + c`` so the sweep is reproducible case-by-case.
     """
     _require_harnack_prerequisites(model, T_choices)
@@ -409,8 +409,7 @@ def harnack_sweep(model: ModelSpec, n_cases: int, n: int, cfg: SimConfig,
     def one(args):
         case, x, y, T, f, i = args
         return harnack_check(model, f, x, y, i, T, n,
-                             replace(cfg, seed=cfg.seed + case), threads=1,
-                             verify=False)
+                             replace(cfg, seed=cfg.seed + case), threads=1)
 
     # cases are the parallel unit: each runs on its own derived seed, so the
     # result set is identical under any thread count or completion order
@@ -631,20 +630,20 @@ def truncation_exit_bound_check(model: ModelSpec, x0, i0: int, K: int, t: float,
 
 def displacement_lipschitz_sweep(n_cases: int = 1000, seed: int = DEFAULT_SEED,
                                  p_values: Sequence[float] = (1.0, 2.0),
-                                 i_max: int = 20, dim: int = 1,
-                                 radius: float = 3.0) -> list[dict]:
+                                 i_max: int = 20, dim: int = 1) -> list[dict]:
     """Randomized exact check of the jump-kernel L^p Lipschitz envelope.
 
     Each case draws a banded spec whose Lipschitz constant is certified by
-    construction, two points, a row and an exponent, and compares the exact
-    interval-sweep distance against the closed-form envelope.
+    construction, two points in the cube [-3, 3]^dim, a row and an exponent,
+    and compares the exact interval-sweep distance against the closed-form
+    envelope.
     """
     rng = np.random.default_rng(seed)
     records = []
     for case in range(n_cases):
         q = random_banded_q(rng, dim=dim, max_regime=i_max + 4)
-        x = rng.uniform(-radius, radius, size=dim)
-        y = rng.uniform(-radius, radius, size=dim)
+        x = rng.uniform(-3.0, 3.0, size=dim)
+        y = rng.uniform(-3.0, 3.0, size=dim)
         i = int(rng.integers(1, i_max + 1))
         p = float(p_values[case % len(p_values)])
         lhs = displacement_lp_distance(q, x, y, i, p)

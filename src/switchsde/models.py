@@ -9,7 +9,8 @@ Coefficient callbacks are batched: ``drift(t, x, i)`` takes ``x`` of shape
 ``(d,)`` or ``(m, d)`` (and ``t`` scalar or ``(m,)``) and returns the same
 shape; ``diffusion(t, x, i)`` may return a scalar ``s`` (meaning ``s * I``),
 a ``(d, d)`` matrix, or an ``(m, d, d)`` stack. Callbacks must be pure:
-specs are immutable and shared across concurrently running replicas.
+specs are immutable and shared across concurrently running replicas, and
+each spec keeps its assumption reports, one per sampling plan.
 
 Assumption checking is falsification by sampling -- grids plus random pairs
 in a ball -- never a proof; the conditions quantify over all of R^d and the
@@ -18,9 +19,11 @@ callbacks are black boxes.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,6 +33,7 @@ from .errors import InvalidModelError
 from .qmatrix import QMatrixSpec
 
 _EPS = 1e-9
+_RADIUS = 10.0  # sampled points lie in the ball of this radius
 
 
 # --- modulus-of-continuity classes -----------------------------------------
@@ -148,6 +152,10 @@ class ModelSpec:
                 or self.dim < 1):
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
 
+    @functools.cached_property
+    def _reports(self) -> dict:
+        return {}  # plan -> AssumptionReport, filled by check_assumptions
+
     def u_class(self) -> UClassFn:
         return U_CLASSES[self.u_id]
 
@@ -194,12 +202,12 @@ class SamplingPlan:
     """Where the necessary-condition sampling happens.
 
     Coefficient conditions use ``n_pairs`` vectorized samples; conditions on
-    the scalar rate callback use the smaller ``n_rate_pairs``.
+    the scalar rate callback use the smaller ``n_rate_pairs``; every point
+    lies in the ball of radius ``_RADIUS``.
     """
 
     n_pairs: int = 10_000
     n_rate_pairs: int = 256
-    radius: float = 10.0
     times: tuple = (0.0, 0.5, 1.0)
     max_regime: int = 20
     seed: int = 90210
@@ -217,7 +225,7 @@ class AssumptionResult:
 @dataclass(frozen=True)
 class AssumptionReport:
     model_id: str
-    results: dict = field(default_factory=dict)
+    results: MappingProxyType  # read-only: every caller shares a kept report
 
     def failed(self) -> list[str]:
         return [n for n, r in self.results.items() if not r.passed]
@@ -282,6 +290,7 @@ def check_assumptions(m: ModelSpec, plan: SamplingPlan | None = None) -> Assumpt
     """Probe every regularity condition on sampled grids; report a failed one,
     never raise it. A negative or non-finite rate at a sampled point is a broken
     model: ``QMatrixSpec.row`` raises ``InvalidModelError`` naming it (exit 3).
+    ``m`` keeps the report, one per plan, and a repeated call returns it.
 
     Condition names (one result each):
 
@@ -300,6 +309,8 @@ def check_assumptions(m: ModelSpec, plan: SamplingPlan | None = None) -> Assumpt
     * ``gamma_domination``      -- phi(s) <= gamma s u(s)^2 on a log grid
     """
     plan = plan or SamplingPlan()
+    if plan in m._reports:
+        return m._reports[plan]
     rng = np.random.default_rng(plan.seed)
     d = m.dim
     q = m.q
@@ -307,10 +318,10 @@ def check_assumptions(m: ModelSpec, plan: SamplingPlan | None = None) -> Assumpt
     ucls = m.u_class()
     utilde = m.u_tilde_class()
 
-    X = _ball_sample(rng, plan.n_pairs, d, plan.radius)
-    Y = _ball_sample(rng, plan.n_pairs, d, plan.radius)
-    Xr = _ball_sample(rng, plan.n_rate_pairs, d, plan.radius)
-    Yr = _ball_sample(rng, plan.n_rate_pairs, d, plan.radius)
+    X = _ball_sample(rng, plan.n_pairs, d, _RADIUS)
+    Y = _ball_sample(rng, plan.n_pairs, d, _RADIUS)
+    Xr = _ball_sample(rng, plan.n_rate_pairs, d, _RADIUS)
+    Yr = _ball_sample(rng, plan.n_rate_pairs, d, _RADIUS)
 
     accs = {name: _Acc(name) for name in _CONDITIONS}
 
@@ -398,8 +409,9 @@ def check_assumptions(m: ModelSpec, plan: SamplingPlan | None = None) -> Assumpt
         phig, ucls.gamma * grid * ug ** 2,
         lambda k: {"s": float(grid[k]), "phi": float(phig[k])})
 
-    return AssumptionReport(model_id=m.model_id,
-                            results={k: a.result() for k, a in accs.items()})
+    report = AssumptionReport(m.model_id, MappingProxyType(
+        {k: a.result() for k, a in accs.items()}))
+    return m._reports.setdefault(plan, report)
 
 
 HARNACK_PREREQUISITES = (

@@ -114,8 +114,8 @@ class NoiseStream:
         return keyed_uniform(self.replica_keys(replica), lane, index)
 
     def normal(self, replica, lane, index) -> np.ndarray:
-        return ndtri(self.uniform(replica, lane, index))
+        return keyed_normal(self.replica_keys(replica), lane, index)
 
     def exponential(self, replica, lane, index) -> np.ndarray:
         """Standard exponential (rate 1)."""
-        return -np.log(self.uniform(replica, lane, index))
+        return keyed_exponential(self.replica_keys(replica), lane, index)

@@ -324,6 +324,36 @@ def test_bad_output_dir_exits_before_the_run(tmp_path, capsys, monkeypatch):
     assert "config error" in err and str(afile) in err
 
 
+def test_nested_output_names_are_created(tmp_path):
+    cfg = with_task(BASE, "simulate", {"x0": [0.0], "i0": 1},
+                    dir=str(tmp_path / "o"), reports="r/reports.jsonl",
+                    trajectory="t/path.csv", trajectory_binary="t/b/path.bin",
+                    plot_data="p/plot.csv")
+    assert run("simulate", write_config(tmp_path, cfg)) == 0
+    for name in ("r/reports.jsonl", "t/path.csv", "t/b/path.bin",
+                 "p/plot.csv"):
+        assert (tmp_path / "o" / name).stat().st_size > 0
+
+
+@pytest.mark.parametrize("output", [{"reports": 5}, {"reports": ""},
+                                    {"plot_data": ["p.csv"]},
+                                    {"reports": "afile/r.jsonl"},
+                                    {"trajectory": "afile/t.csv"}])
+def test_bad_output_name_exits_before_the_run(tmp_path, capsys, monkeypatch,
+                                              output):
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+    monkeypatch.setattr(est, "displacement_lipschitz_sweep", never)
+    (tmp_path / "o").mkdir()
+    (tmp_path / "o" / "afile").write_text("")
+    cfg = with_task(BASE, "jump-lipschitz", {"cases": 4},
+                    dir=str(tmp_path / "o"), **output)
+    assert run("jump-lipschitz", write_config(tmp_path, cfg)) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "afile" in err or f"output.{next(iter(output))}" in err
+
+
 def test_feller_mode_checked_before_the_run(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("feller_modulus ran")
@@ -467,13 +497,14 @@ EMPTY_TASKS = {
 }
 
 
-def assert_config_error(tmp_path, capsys, sub, task):
+def assert_config_error(tmp_path, capsys, sub, task, named=""):
     cfg = {"model": SMALL_RUNS[sub][0],
            "sim": {"T": 0.5, "dt": 0.01, "seed": 11,
                    "scheme": "event_driven_exact", "replicas": 500},
            "task": task, "output": {"dir": str(tmp_path / "o")}}
     assert run(sub, write_config(tmp_path, cfg)) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err
 
 
 @pytest.mark.parametrize("name", sorted(EMPTY_TASKS))
@@ -481,24 +512,36 @@ def test_empty_sweep_is_a_config_error(tmp_path, capsys, name):
     assert_config_error(tmp_path, capsys, *EMPTY_TASKS[name])
 
 
-# task values that would end in a traceback or check a negative horizon
+# task values that would end in a traceback or check a negative horizon, and
+# the text the error message must hold: the key, where the config catches it
 BAD_TASK_VALUES = {
-    "harnack-zero-T": ("harnack", {"cases": 2, "T_values": [0]}),
-    "chain-marginal-fractional-start": ("chain-marginal", {"starts": [1.5]}),
-    "feller-negative-t": ("feller", {"t": -1}),
+    "harnack-zero-T": ("harnack", {"cases": 2, "T_values": [0]},
+                       "horizon must be positive"),
+    "chain-marginal-fractional-start": ("chain-marginal", {"starts": [1.5]},
+                                        "task.starts"),
+    "feller-negative-t": ("feller", {"t": -1}, "task.t"),
     "truncation-negative-t": ("truncation-check", {"t": -1,
-                                                   "compare_cases": 2}),
-    "jump-lipschitz-zero-dim": ("jump-lipschitz", {"cases": 5, "dim": 0}),
+                                                   "compare_cases": 2},
+                              "task.t"),
+    "jump-lipschitz-zero-dim": ("jump-lipschitz", {"cases": 5, "dim": 0},
+                                "task.dim"),
     "jump-lipschitz-fractional-dim": ("jump-lipschitz", {"cases": 5,
-                                                         "dim": 1.5}),
+                                                         "dim": 1.5},
+                                      "task.dim"),
     "jump-lipschitz-fractional-i-max": ("jump-lipschitz", {"cases": 5,
-                                                           "i_max": 2.7}),
+                                                           "i_max": 2.7},
+                                        "task.i_max"),
+    "moments-one-T": ("moments", {"T_values": 0.5}, "task.T_values"),
+    "holding-one-K": ("holding", {"K_values": 3}, "task.K_values"),
+    "chain-marginal-one-time": ("chain-marginal", {"times": 1.0},
+                                "task.times"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_TASK_VALUES))
 def test_bad_task_value_is_a_config_error(tmp_path, capsys, name):
-    assert_config_error(tmp_path, capsys, *BAD_TASK_VALUES[name])
+    sub, task, named = BAD_TASK_VALUES[name]
+    assert_config_error(tmp_path, capsys, sub, task, named)
 
 
 def test_failed_summary_exits_one(tmp_path):

@@ -309,10 +309,8 @@ def test_truncated_identical_when_level_huge(ou_model):
     assert res["identical"]
     assert math.isinf(res["tau_k"])
     # tau never hit: the whole paths coincide
-    full = s.simulate_path(ou_model, [0.1], 1,
-                           cfg(T=1.0, seed=2, K=60), stream=NoiseStream(101))
-    trunc = s.simulate_truncated(ou_model, [0.1], 1, 60, cfg(T=1.0, seed=2),
-                                 stream=NoiseStream(101))
+    full = s.simulate_path(ou_model, [0.1], 1, cfg(T=1.0, K=60))
+    trunc = s.simulate_truncated(ou_model, [0.1], 1, 60, cfg(T=1.0))
     assert np.array_equal(full.x, trunc.x)
 
 

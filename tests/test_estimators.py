@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import switchsde as s
-from switchsde import reports
+from switchsde import estimators, reports
 from switchsde.estimators import mc_from_values, wilson_lower
 
 
@@ -34,11 +34,11 @@ def test_mc_from_values_aborts_flagged():
 
 def test_wilson_lower_values():
     assert wilson_lower(0, 100) == 0.0
-    assert wilson_lower(100, 100, 3.0) == pytest.approx(1 / (1 + 9 / 100))
-    w = wilson_lower(50, 100, 3.0)
+    assert wilson_lower(100, 100) == pytest.approx(1 / (1 + 9 / 100))
+    w = wilson_lower(50, 100)
     assert 0.3 < w < 0.5
     # more data tightens the bound toward p
-    assert wilson_lower(5000, 10000, 3.0) > w
+    assert wilson_lower(5000, 10000) > w
 
 
 # --- semigroup / first jump --------------------------------------------------------
@@ -141,7 +141,7 @@ def test_harnack_rejects_bad_inputs(scalar_rate_q):
     failed = "assumption uniform_ellipticity failed"
     with pytest.raises(s.InvalidModelError, match=failed):
         s.harnack_check(dg, s.gauss_function(), [0.0], [1.0], 1, 0.5, 100,
-                        ecfg(), verify=True)
+                        ecfg())
     with pytest.raises(s.InvalidModelError, match=failed):
         s.harnack_sweep(dg, 2, 100, ecfg())
     with pytest.raises(ValueError, match="horizon must be positive"):
@@ -157,6 +157,24 @@ def test_harnack_rejects_bad_inputs(scalar_rate_q):
     with pytest.raises(s.InvalidModelError, match=failed) as sweep:
         s.harnack_sweep(quiet, 2, 100, ecfg(), T_choices=(2.0,))
     assert str(sweep.value) == str(single.value)
+
+
+def test_harnack_sweep_checks_each_horizon_once(monkeypatch):
+    # one plan per horizon, sampled at t = 0 and t = T, filled before any
+    # case runs; the cases read those reports and add none
+    ou = s.zoo("switching_ou")
+    seen = []
+    check = estimators.harnack_check
+
+    def case(*args, **kwargs):
+        seen.append(dict(ou._reports))
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "harnack_check", case)
+    assert len(s.harnack_sweep(ou, 4, 50, ecfg(), T_choices=(0.25, 0.5))) == 4
+    times = sorted(plan.times for plan in ou._reports)
+    assert times == [(0.0, 0.25), (0.0, 0.5)]
+    assert all(kept == ou._reports for kept in seen)
 
 
 def test_harnack_sweep_summary_classification(ou_model):

@@ -1,10 +1,14 @@
 import math
+import sys
+import threading
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import switchsde as s
-from switchsde.models import (U_CLASSES, SamplingPlan, _ball_sample,
+from switchsde.models import (_RADIUS, U_CLASSES, SamplingPlan, _ball_sample,
                               check_assumptions)
 
 
@@ -62,6 +66,57 @@ def test_other_zoo_models_pass_every_check():
     for name in ("birth_death_switch", "nonlipschitz_log"):
         rep = check_assumptions(s.zoo(name), quick_plan())
         assert rep.failed() == [], name
+
+
+def test_reports_are_kept_per_model_and_plan():
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    ou = s.zoo("switching_ou")
+    m = replace(ou, drift=counted("drift", ou.drift),
+                diffusion=counted("diffusion", ou.diffusion),
+                q=replace(ou.q, rate=counted("rate", ou.q.rate)))
+    plan = quick_plan()
+    first = check_assumptions(m, plan)
+    assert set(calls) == {"drift", "diffusion", "rate"}
+    sampled = dict(calls)
+    assert check_assumptions(m, plan) is first
+    assert calls == sampled  # no callback ran again
+    other = check_assumptions(m, quick_plan(seed=5))
+    assert other is not first and calls["drift"] > sampled["drift"]
+    assert set(m._reports) == {plan, quick_plan(seed=5)}
+    # a copy is a new spec: it starts with no reports
+    assert replace(m)._reports == {}
+    # callers share a kept report, so it cannot be edited
+    with pytest.raises(TypeError):
+        first.results["band_structure"] = first["band_structure"]
+
+
+def test_racing_checks_share_one_kept_report():
+    # threads racing on an empty cache may each sample, but all of them get
+    # the one report the model keeps
+    m = s.zoo("switching_ou")
+    plan = quick_plan(n_pairs=64, n_rate_pairs=8, max_regime=2)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(
+            target=lambda: got.append(check_assumptions(m, plan)))
+            for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8 and all(r is m._reports[plan] for r in got)
 
 
 def test_zoo_unknown_name():
@@ -156,8 +211,8 @@ def test_negative_rate_at_a_sampled_point_raises_with_its_witness():
     # of them past x = 5, in sample order
     rng = np.random.default_rng(plan.seed)
     for n in (plan.n_pairs, plan.n_pairs):
-        _ball_sample(rng, n, 1, plan.radius)
-    Xr = _ball_sample(rng, plan.n_rate_pairs, 1, plan.radius)
+        _ball_sample(rng, n, 1, _RADIUS)
+    Xr = _ball_sample(rng, plan.n_rate_pairs, 1, _RADIUS)
     first = Xr[np.argmax(Xr[:, 0] > 5.0)]
     assert first[0] > 5.0
     with pytest.raises(s.InvalidModelError) as exc:

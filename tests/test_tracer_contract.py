@@ -38,3 +38,20 @@ def test_tracer_installs_runs_the_checkers_and_uninstalls(tracing):
             "estimators.truncation_identity_check"} <= names
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["estimators.checks"] == 2
+
+
+def test_tracer_counts_each_harnack_sweep_case(tracing):
+    # the benchmark counts estimators.checks from the public harnack_check
+    # that every sweep case calls
+    tracer = tracing.Tracer().install()
+    try:
+        reps = estimators.harnack_sweep(
+            s.zoo("switching_ou"), 2, 50,
+            s.SimConfig(horizon=0.25, dt=0.01, scheme=s.EVENT_DRIVEN),
+            T_choices=(0.25,))
+    finally:
+        tracer.uninstall()
+    assert len(reps) == 2
+    names = [span[3] for span in tracer.spans]
+    assert names.count("estimators.harnack_check") == 2
+    assert tracing.layer_metrics(tracer.spans)["estimators.checks"] == 2
