@@ -27,9 +27,9 @@ one-row view of one run:
   recorded path, running maxima, a truncation level) and otherwise goes
   from switch to switch, one normal per segment and coordinate.
 
-Every state-independent row is read through ``qmatrix.zero_layout`` (built
-once per rate spec, guarded and certified there), the skeleton's as well as
-the generator oracle's; a state-dependent row is read at the positions of
+Every state-independent row is gathered for a whole batch from
+``qmatrix.zero_rows`` (built once per rate spec, guarded and certified by
+``qmatrix.zero_layout``); a state-dependent row is read at the positions of
 a regime group's rows, as one batch (``qmatrix.row_layout``).
 
 Every other step, in either runner, goes through one regime-grouped Euler
@@ -37,10 +37,9 @@ kernel over the model callbacks (``euler_step``). Rows are grouped by
 ``regime_groups``: one sort finds the regimes present, and each regime's rows
 are gathered and scattered through their ascending integer indices (a full
 slice when every row shares one regime), so each regime's callbacks run once,
-on its rows in row order. The skeleton's destinations, marks and clocks group
-their rows the same way. A runner reports rows whose state turned non-finite
-in its ``aborted`` mask; ``recorded_path`` raises ``NumericalBlowupError`` at
-the row's first logged state that is not finite.
+on its rows in row order. A runner reports rows whose state turned
+non-finite in its ``aborted`` mask; ``recorded_path`` raises
+``NumericalBlowupError`` at the row's first logged state that is not finite.
 
 All randomness is counter-addressed per replica (see ``noise``): the same
 seed and replica id reproduce a path bit-for-bit regardless of batch size,
@@ -65,7 +64,7 @@ from .models import ModelSpec, apply_diffusion, _sigma_stack
 from .noise import (LANE_EULER, LANE_JUMP, NoiseStream, keyed_exponential,
                     keyed_normal, keyed_uniform)
 from .qmatrix import (QMatrixSpec, as_point, row_layout, smooth_cutoff,
-                      truncate_q, zero_layout)
+                      truncate_q, zero_rows)
 from .trajectory import JumpRecord, Trajectory
 
 DEFAULT_SEED = 123456789
@@ -120,7 +119,8 @@ def regime_groups(lam: np.ndarray) -> list:
     ascending row indices ``np.flatnonzero(lam == regime)``, so a gather or
     scatter through it keeps the rows' order. The regimes present come from a
     sort, whose cost follows the row count and never the regime values (the
-    regime space may be infinite).
+    regime space may be infinite). Read by the Euler kernel, the start-regime
+    check, the state-dependent row reads and ``harnack_cost_values``.
     """
     if not len(lam):
         return []
@@ -313,14 +313,18 @@ def recorded_path(out: dict, row: int = 0, seed: int = 0) -> Trajectory:
 # --- rows of the interval layout -------------------------------------------------
 
 def _switch_targets(q: QMatrixSpec, lam, U, X=None):
-    """Destinations and absolute marks of uniforms ``U`` dropped on the row
-    blocks of regimes ``lam``. Each regime group reads ``zero_layout`` when
-    the rates ignore x or no positions ``X`` are given (the skeletons, which
-    so refuse state-dependent rates), else its rows' layout at ``X``."""
+    """Each row's ``RowLayout.destination`` and ``mark`` of uniforms ``U``
+    in regimes ``lam``: gathered from ``zero_rows`` when the rates ignore x
+    or no positions ``X`` are given (the skeletons, which so refuse
+    state-dependent rates), else per regime group at ``X``."""
+    if X is None or q.state_independent:
+        total, start, right, dests = zero_rows(q, lam).cols
+        v = U * total[lam]
+        at = lam * dests.shape[1] + sum(col[lam] <= v for col in right)
+        return dests.ravel()[at], start[lam] + v
     new, marks = np.empty_like(lam), np.empty(len(lam))
     for k, rows in regime_groups(lam):
-        lay = (zero_layout(q, k) if X is None or q.state_independent
-               else row_layout(q, X[rows], k))
+        lay = row_layout(q, X[rows], k)
         new[rows], marks[rows] = lay.destination(U[rows]), lay.mark(U[rows])
     return new, marks
 
@@ -328,10 +332,11 @@ def _switch_targets(q: QMatrixSpec, lam, U, X=None):
 def _regime_totals(q: QMatrixSpec, lam, X=None):
     """Row sums ``q_k`` per replica in regime ``lam``, read as in
     ``_switch_targets`` but at ``X`` from row ``k`` alone (``total_rate``)."""
+    if X is None or q.state_independent:
+        return zero_rows(q, lam).cols[0][lam]
     out = np.empty(len(lam))
     for k, rows in regime_groups(lam):
-        out[rows] = (zero_layout(q, k).total if X is None or q.state_independent
-                     else q.total_rate(X[rows], k))
+        out[rows] = q.total_rate(X[rows], k)
     return out
 
 
@@ -371,29 +376,27 @@ def run_chain(q: QMatrixSpec, i0: int, T: float, stream: NoiseStream,
               replicas: np.ndarray, t_marks=()) -> dict:
     """Vectorized skeleton-only simulation of a state-independent chain.
 
-    Returns the regimes at ``T`` and, per mark time, the regime at that time
-    (right-continuous: a switch at the mark counts). Switches go through
-    ``_skeleton_switch`` as in the full runner, so the skeletons agree
-    bit-for-bit; each pass draws for the switching replicas only.
+    Returns the regimes at ``T`` and, per mark time (ascending, clamped to
+    ``T``), the regime once the skeleton has run up to it (a switch at the
+    mark counts). Switches go through ``_skeleton_switch`` as in the full
+    runner, so the skeletons agree bit-for-bit; passes draw for switching rows.
     """
     n = len(replicas)
     keys = stream.replica_keys(replicas)
     lam = np.full(n, int(i0), dtype=np.int64)
     jump_ctr = np.ones(n, dtype=np.uint64)
-    marks = [float(tm) for tm in t_marks]
-    lam_at = np.full((len(marks), n), int(i0), dtype=np.int64)
+    stops = [min(float(tm), T) for tm in t_marks] + [T]
+    if any(map(math.isnan, stops)):
+        raise ValueError(f"mark times must be numbers, got {list(t_marks)}")
+    lam_at = np.empty((len(stops), n), dtype=np.int64)
     nxt = first_switch_times(q, i0, keys)
-
-    while (jr := np.flatnonzero(nxt <= T)).size:
-        new, hold, _ = _skeleton_switch(q, keys, jump_ctr, lam, jr)
-        lam[jr] = new
-        s = nxt[jr]
-        # switch times only grow, so the last pass at or before a mark wins
-        for mi, tm in enumerate(marks):
-            hit = s <= tm
-            lam_at[mi, jr[hit]] = new[hit]
-        nxt[jr] = s + hold
-    return {"regime": lam, "regime_at": lam_at}
+    for mi in sorted(range(len(stops)), key=stops.__getitem__):
+        while (jr := np.flatnonzero(nxt <= stops[mi])).size:
+            new, hold, _ = _skeleton_switch(q, keys, jump_ctr, lam, jr)
+            lam[jr] = new
+            nxt[jr] += hold
+        lam_at[mi] = lam
+    return {"regime": lam, "regime_at": lam_at[:-1]}
 
 
 # --- batch runners ---------------------------------------------------------------
@@ -503,7 +506,7 @@ def run_frozen(model: ModelSpec, x0, i0, T: float, dt: float,
 
     Step ``g`` reads its clock at jump index ``2g``, its mark at ``2g + 1``
     and its Euler draws at ``2dg + c`` before a switch and ``2dg + d + c``
-    after it. Rates are read per regime group, at once for the group's rows.
+    after it. State-dependent rates are read once per regime group.
     A row whose state turns non-finite stops where it died and is reported
     in the ``aborted`` mask.
     """

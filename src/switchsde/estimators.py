@@ -120,6 +120,8 @@ def wilson_lower(successes: int, n: int) -> float:
 # --- batched execution ---------------------------------------------------------
 
 def _spans(n: int):
+    if n < 1:
+        raise ValueError(f"need n >= 1 replicas, got n = {n}")
     return [(lo, min(lo + BATCH_REPLICAS, n)) for lo in range(0, n, BATCH_REPLICAS)]
 
 
@@ -275,6 +277,8 @@ def holding_time_check(model: ModelSpec, x, k: int, K: int,
     horizon = float(max(t_grid))
     n_aborted = 0
     if model.q.state_independent:
+        if n < 1:
+            raise ValueError(f"need n >= 1 replicas, got n = {n}")
         keys = NoiseStream(cfg.seed).replica_keys(np.arange(n, dtype=np.uint64))
         eta = first_switch_times(model.q, k, keys)
     else:

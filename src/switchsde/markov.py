@@ -1,9 +1,9 @@
 """The regime chain layer: dense generators and their closed-form oracles.
 
 ``chain_generator_matrix`` builds the generator of a finite
-state-independent spec from the rows ``qmatrix.zero_layout`` keeps on the
-spec, the same row arrays the Monte Carlo runners read; ``transition_matrix``
-is ``exp(t Q)``, the oracle for the Monte Carlo chain marginals.
+state-independent spec from the rows of ``qmatrix.zero_layout``, the rows
+the Monte Carlo runners gather; ``transition_matrix`` is ``exp(t Q)``, the
+oracle for the Monte Carlo chain marginals.
 """
 
 from __future__ import annotations

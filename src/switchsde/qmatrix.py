@@ -13,11 +13,11 @@ nothing.
 of this layout: both simulation schemes draw destinations and marks from it,
 and the exact L^p distance between jump kernels sweeps its endpoints.
 
-``zero_layout`` is the only reader of a state-independent row: it builds
-row ``k`` at x = 0 once per spec and keeps it in a dict on the spec, which
-dies with the spec (a ``dataclasses.replace`` copy starts empty). Nothing is
-cached at module level; a state-dependent layout is built at one point or
-a batch of points, reading the rows below it with its own as one table.
+``zero_layout`` builds each state-independent row at x = 0 once per spec
+into the spec's ``ZeroRows``, which packs the rows by regime for gathers
+(``zero_rows``) and dies with the spec. Nothing is cached at module level;
+a state-dependent layout is built at one point or a batch of points,
+reading the rows below it with its own as one table.
 
 The whole module assumes a band structure: jumps move the regime by at most
 ``kappa``, so every row has finitely many nonzero entries and the (possibly
@@ -124,9 +124,9 @@ class QMatrixSpec:
         return np.cumsum(table, axis=-1)[..., 0, -1]
 
     @functools.cached_property
-    def _zero_rows(self) -> dict:
-        """Regime -> ``RowLayout`` at x = 0, filled by ``zero_layout``."""
-        return {}
+    def _zero_rows(self) -> list:
+        """One slot holding the spec's ``ZeroRows``, filled by ``zero_layout``."""
+        return [ZeroRows({})]
 
 
 @dataclass(frozen=True)
@@ -203,12 +203,37 @@ def row_layout(q: QMatrixSpec, x, i: int) -> RowLayout:
                      start=start, total=sums[..., -1])
 
 
+@dataclass(frozen=True)
+class ZeroRows:
+    """Regime -> ``RowLayout`` built by ``zero_layout``, which swaps in a copy."""
+
+    layouts: dict
+
+    @functools.cached_property
+    def cols(self) -> tuple:
+        """Read-only ``(total, start, right, dests)`` by regime ``k``: row sum
+        (NaN if unbuilt), block start, relative right endpoints ``right[c, k]``
+        for ``c < len(dests) - 1`` (+inf beyond), dests (all ``k`` if q_k = 0)."""
+        cap = max(self.layouts, default=0) + 1
+        w = max([1] + [len(b.dests) for b in self.layouts.values()])
+        total, start = np.full(cap, np.nan), np.full(cap, np.nan)
+        right, dests = np.full((w - 1, cap), np.inf), np.zeros((cap, w), np.int64)
+        for b in self.layouts.values():
+            total[b.i], start[b.i], dests[b.i] = b.total, b.start, b.i
+            if b.total > 0.0:
+                right[:len(b.dests) - 1, b.i] = b.right[:-1]
+                dests[b.i, :len(b.dests)] = b.dests
+        for a in (total, start, right, dests):
+            a.flags.writeable = False
+        return total, start, right, dests
+
+
 _FILL = threading.Lock()  # one build per row when batch threads share a spec
 
 
 def zero_layout(q: QMatrixSpec, k: int) -> RowLayout:
     """Row ``k``'s block of a state-independent spec at x = 0, built once per
-    spec and regime; its arrays are read-only because every caller shares them.
+    spec and regime into its ``ZeroRows``; every caller shares its arrays.
 
     Raises ``UnsupportedSchemeError`` when the rates may depend on ``x``. On
     an infinite regime space a row sum above the certificate ``alpha * k``
@@ -218,21 +243,29 @@ def zero_layout(q: QMatrixSpec, k: int) -> RowLayout:
     if not q.state_independent:
         raise UnsupportedSchemeError(
             "this needs state-independent rates (rates that ignore x)")
-    rows = q._zero_rows
-    if k not in rows:
-        with _FILL:
-            if k not in rows:
-                lay = row_layout(q, np.zeros(1), k)
-                bound = q.linear_bound_alpha * k
-                if q.n_regimes is None and not lay.total <= bound + 1e-9:
-                    raise InvalidModelError(
-                        f"row sum q_{k} = {lay.total:.6g} exceeds the "
-                        f"certificate alpha*k = {bound:.6g} at regime k = {k}; "
-                        "the chain may explode")
-                for a in (lay.dests, lay.rates, lay.right, lay.edges):
-                    a.flags.writeable = False
-                rows[k] = lay
-    return rows[k]
+    slot = q._zero_rows
+    with _FILL:
+        if k not in slot[0].layouts:
+            lay = row_layout(q, np.zeros(1), k)
+            bound = q.linear_bound_alpha * k
+            if q.n_regimes is None and not lay.total <= bound + 1e-9:
+                raise InvalidModelError(
+                    f"row sum q_{k} = {lay.total:.6g} exceeds the "
+                    f"certificate alpha*k = {bound:.6g} at regime k = {k}; "
+                    "the chain may explode")
+            for a in (lay.dests, lay.rates, lay.right, lay.edges):
+                a.flags.writeable = False
+            slot[0] = ZeroRows({**slot[0].layouts, k: lay})
+        return slot[0].layouts[k]
+
+
+def zero_rows(q: QMatrixSpec, lam) -> ZeroRows:
+    """The spec's ``ZeroRows``, missing rows of ``lam`` built in ascending order."""
+    total = q._zero_rows[0].cols[0]
+    if len(lam) and (lam.max() >= len(total) or np.isnan(total[lam]).any()):
+        for k in np.unique(lam).tolist():
+            zero_layout(q, k)
+    return q._zero_rows[0]
 
 
 def displacement_lp_distance(q: QMatrixSpec, x, y, i: int, p: float) -> float:

@@ -150,6 +150,41 @@ def test_step_euler_mixed_batch_equals_per_regime_calls():
             assert np.array_equal(out[r], one)
 
 
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+def _banded_rates(n, kappa, seed, absorbing=()):
+    rng = np.random.default_rng(seed)
+    R = rng.uniform(0.3, 1.8, (n, n))
+    far = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > kappa
+    R[far] = 0.0
+    R[[k - 1 for k in absorbing]] = 0.0
+    np.fill_diagonal(R, 0.0)
+    return R
+
+
+def _rate_table_q(R, kappa):
+    return s.QMatrixSpec(rate=lambda x, i, j: float(R[i - 1, j - 1]),
+                         kappa=kappa, linear_bound_alpha=float(R.sum()),
+                         state_independent=True, n_regimes=len(R))
+
+
+def _assert_reads_equal_rows(q, lam, U):
+    # the packed reads against each row's own layout, bit for bit
+    new, marks = engine._switch_targets(q, lam, U)
+    totals = engine._regime_totals(q, lam)
+    lays = [s.zero_layout(q, k) for k in lam.tolist()]
+    assert _bits(new) == _bits(np.array(
+        [b.destination(u) for b, u in zip(lays, U)], dtype=np.int64))
+    assert _bits(marks) == _bits(np.array(
+        [b.mark(u) for b, u in zip(lays, U.tolist())], dtype=float))
+    assert _bits(totals) == _bits(np.array([b.total for b in lays],
+                                           dtype=float))
+    return new, totals
+
+
 def test_skeleton_reads_equal_per_row_layouts():
     q = s.zoo("birth_death_switch").q
     rng = np.random.default_rng(9)
@@ -161,6 +196,38 @@ def test_skeleton_reads_equal_per_row_layouts():
     assert np.array_equal(marks, [b.mark(u) for b, u in zip(lays, U.tolist())])
     assert np.array_equal(engine._regime_totals(q, lam),
                           [b.total for b in lays])
+    # a fresh spec whose rows the reads build, high regimes first
+    q = s.zoo("birth_death_switch").q
+    lam = rng.permutation(lam)
+    for part in (lam[lam > 7], lam[lam < 5], lam):
+        _assert_reads_equal_rows(q, part, rng.uniform(size=len(part)))
+    # first and last rows have clipped bands
+    q = _rate_table_q(_banded_rates(5, 2, seed=4), kappa=2)
+    lam = rng.integers(1, 6, 400)
+    _assert_reads_equal_rows(q, lam, rng.uniform(size=400))
+    assert [len(s.zero_layout(q, k).dests) for k in range(1, 6)] == [2, 3, 4, 3, 2]
+
+
+def test_skeleton_reads_keep_an_absorbing_regime():
+    q = _rate_table_q(_banded_rates(4, 1, seed=5, absorbing=(3,)), kappa=1)
+    lam = np.array([3, 1, 3, 2, 4, 3])
+    new, totals = _assert_reads_equal_rows(q, lam, np.linspace(0.05, 0.95, 6))
+    assert np.array_equal(new[lam == 3], [3, 3, 3])
+    assert np.array_equal(totals[lam == 3], [0.0, 0.0, 0.0])
+    keys = NoiseStream(3).replica_keys(np.arange(6, dtype=np.uint64))
+    assert np.isinf(first_switch_times(q, lam, keys)[lam == 3]).all()
+    out = run_chain(q, 3, 5.0, NoiseStream(3), np.arange(50, dtype=np.uint64),
+                    t_marks=(1.0,))
+    assert (out["regime"] == 3).all() and (out["regime_at"] == 3).all()
+
+
+def test_skeleton_reads_of_an_empty_batch_are_empty():
+    q = s.zoo("birth_death_switch").q  # no row built yet
+    lam = np.empty(0, dtype=np.int64)
+    new, marks = engine._switch_targets(q, lam, np.empty(0))
+    assert _bits(new) == _bits(lam)
+    assert _bits(marks) == _bits(np.empty(0))
+    assert _bits(engine._regime_totals(q, lam)) == _bits(np.empty(0))
 
 
 # --- trajectories ----------------------------------------------------------------
@@ -361,6 +428,42 @@ def test_chain_marks_match_event_driven_runs():
                                     NoiseStream(61), reps)
             assert np.array_equal(chain["regime_at"][mi], full["regime"])
         assert len(np.unique(chain["regime_at"][0])) == n
+
+
+def _chain_with_per_pass_marks(q, i0, T, stream, replicas, t_marks):
+    """Reference for ``run_chain``: one skeleton up to T, and after each pass
+    every mark takes the switches at or before it."""
+    n = len(replicas)
+    keys = stream.replica_keys(replicas)
+    lam = np.full(n, i0, dtype=np.int64)
+    jump_ctr = np.ones(n, dtype=np.uint64)
+    lam_at = np.full((len(t_marks), n), i0, dtype=np.int64)
+    nxt = first_switch_times(q, i0, keys)
+    while (jr := np.flatnonzero(nxt <= T)).size:
+        new, hold, _ = engine._skeleton_switch(q, keys, jump_ctr, lam, jr)
+        lam[jr] = new
+        t = nxt[jr]
+        for mi, tm in enumerate(t_marks):
+            hit = t <= tm
+            lam_at[mi, jr[hit]] = new[hit]
+        nxt[jr] = t + hold
+    return {"regime": lam, "regime_at": lam_at}
+
+
+def test_chain_marks_as_barriers_equal_per_pass_marks():
+    q = _rate_table_q(_banded_rates(5, 2, seed=12), kappa=2)
+    reps = np.arange(2000, dtype=np.uint64)
+    T = 2.0
+    marks = (1.5, 0.3, 0.3, 0.0, T, 3.5, 1.0, -1.0)
+    for i0 in (1, 4):
+        got = run_chain(q, i0, T, NoiseStream(19), reps, t_marks=marks)
+        want = _chain_with_per_pass_marks(q, i0, T, NoiseStream(19), reps,
+                                          marks)
+        assert _bits(got["regime"]) == _bits(want["regime"])
+        assert _bits(got["regime_at"]) == _bits(want["regime_at"])
+        assert len(np.unique(got["regime_at"][1])) == 5
+    with pytest.raises(ValueError, match="mark times must be numbers"):
+        run_chain(q, 1, T, NoiseStream(19), reps, t_marks=(0.5, math.nan))
 
 
 def test_duplicate_replica_ids_share_randomness(ou_model):
@@ -725,6 +828,47 @@ def test_explosive_chain_raises_instead_of_hanging():
                           linear_bound_alpha=math.nan, state_independent=True)
     with pytest.raises(s.InvalidModelError, match="regime k = 1"):
         run_chain(nan_q, 1, 2.0, NoiseStream(1), reps)
+
+
+def _pure_birth_q(bad_rows):
+    # up-rate 1 from every regime but ``bad_rows``, whose rate 5 breaks the
+    # certificate q_i <= alpha i (alpha = 1) on the infinite regime space
+    return s.QMatrixSpec(
+        rate=lambda x, i, j: (5.0 if i in bad_rows else 1.0) * (j == i + 1),
+        kappa=1, linear_bound_alpha=1.0, state_independent=True)
+
+
+def _drifting(q):
+    return s.ModelSpec(dim=1, drift=lambda t, x, i: -np.asarray(x, dtype=float),
+                       diffusion=lambda t, x, i: 1.0, q=q,
+                       growth_c=lambda t: 1.0, dissipativity_c=lambda t, i: 1.0,
+                       diffusion_mod_c=lambda t, i: 1.0,
+                       ellipticity_lambda=lambda t: 1.0)
+
+
+def test_rows_are_built_and_certified_only_where_the_chain_goes():
+    reps = np.arange(30, dtype=np.uint64)
+    # above the bad row the chain only climbs, so row 2 is never built
+    q = _pure_birth_q({2})
+    out = run_chain(q, 3, 2.0, NoiseStream(1), reps, t_marks=(1.0,))
+    assert (out["regime"] > 3).any() and (out["regime"] >= 3).all()
+    run_event_driven(_drifting(q), np.zeros(1), 3, 2.0, 0.1, NoiseStream(1),
+                     reps)
+    assert s.zero_layout(q, 3).total == 1.0
+    assert 2 not in q._zero_rows[0].layouts
+    # from below it reaches row 2 and fails as the per-row reads did
+    message = (r"row sum q_2 = 5 exceeds the certificate alpha\*k = 2 at "
+               r"regime k = 2; the chain may explode")
+    for q in (_pure_birth_q({2}), _pure_birth_q({2, 3})):
+        with pytest.raises(s.InvalidModelError, match=message):
+            run_chain(q, 1, 2.0, NoiseStream(1), reps)
+        with pytest.raises(s.InvalidModelError, match=message):
+            run_event_driven(_drifting(q), np.zeros(1), 1, 2.0, 0.1,
+                             NoiseStream(1), reps)
+    # two bad rows in one batch: the lower one raises first
+    keys = NoiseStream(1).replica_keys(np.arange(4, dtype=np.uint64))
+    with pytest.raises(s.InvalidModelError, match=message):
+        first_switch_times(_pure_birth_q({2, 3}), np.array([3, 2, 3, 2]), keys)
 
 
 def test_state_independent_rows_are_built_once_per_spec():

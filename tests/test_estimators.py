@@ -114,6 +114,44 @@ def test_holding_time_reports(ou_model):
         s.holding_time_check(bd, [0.0], 6, 5, (0.1,), 100, ecfg())
 
 
+_ONE = lambda X, lam: np.ones(len(X))  # noqa: E731
+_ESTIMATORS = {
+    "semigroup_estimate": lambda m, n: s.semigroup_estimate(
+        m, _ONE, 0.5, [0.0], 1, n, ecfg()),
+    "first_jump_estimate": lambda m, n: s.first_jump_estimate(
+        m, _ONE, 0.5, [0.0], 1, n, ecfg()),
+    "moment_bound_check": lambda m, n: s.moment_bound_check(
+        m, [0.5], 1, 0.5, n, ecfg()),
+    "holding_time_check": lambda m, n: s.holding_time_check(
+        m, [0.0], 1, 2, (0.1,), n, ecfg()),
+    "harnack_check": lambda m, n: s.harnack_check(
+        m, _ONE, [0.1], [0.6], 1, 0.5, n, ecfg()),
+    "feller_modulus": lambda m, n: s.feller_modulus(
+        m, _ONE, 0.5, [0.0], 1, (0.1,), n, ecfg()),
+    "chain_marginal_check": lambda m, n: s.chain_marginal_check(
+        m, (0.5,), n, ecfg()),
+    "truncation_exit_bound_check": lambda m, n: s.truncation_exit_bound_check(
+        m, [0.0], 1, 5, 0.5, n, ecfg()),
+}
+
+
+@pytest.mark.parametrize("n", [0, -3])
+@pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+def test_estimators_reject_fewer_than_one_replica(ou_model, name, n):
+    with pytest.raises(ValueError, match=f"need n >= 1 replicas, got n = {n}"):
+        _ESTIMATORS[name](ou_model, n)
+
+
+def test_frozen_holding_check_rejects_fewer_than_one_replica(scalar_rate_q):
+    m = s.ModelSpec(dim=1, drift=lambda t, x, i: -np.asarray(x, float),
+                    diffusion=lambda t, x, i: 1.0, q=scalar_rate_q,
+                    growth_c=lambda t: 1.0, dissipativity_c=lambda t, i: 1.0,
+                    diffusion_mod_c=lambda t, i: 1.0,
+                    ellipticity_lambda=lambda t: 1.0)
+    with pytest.raises(ValueError, match="got n = 0"):
+        _ESTIMATORS["holding_time_check"](m, 0)
+
+
 def test_harnack_trivial_cases(ou_model):
     c = ecfg(T=0.5, dt=2e-3, seed=82, n=4000)
     const = lambda X, lam: np.full(len(X), 0.3)
