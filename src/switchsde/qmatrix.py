@@ -128,6 +128,12 @@ class QMatrixSpec:
         """One slot holding the spec's ``ZeroRows``, filled by ``zero_layout``."""
         return [ZeroRows({})]
 
+    @functools.cached_property
+    def _oracles(self) -> dict:
+        """Time t -> ``exp(t Q)``, kept by ``chain_marginal_check``: its solve
+        wakes the BLAS thread pool, which can stall for milliseconds a call."""
+        return {}
+
 
 @dataclass(frozen=True)
 class RowLayout:

@@ -429,6 +429,20 @@ def test_chain_marginal_check_small(ou_model):
     assert mc.fraction_within >= 0.99
 
 
+def test_chain_marginal_oracle_is_computed_once_per_spec(ou_model, monkeypatch):
+    calls = []
+    real = estimators.transition_matrix
+    monkeypatch.setattr(estimators, "transition_matrix",
+                        lambda G, t: calls.append(t) or real(G, t))
+    model = replace(ou_model, q=replace(ou_model.q))
+    first = s.chain_marginal_check(model, (0.5, 1.0), 2_000, ecfg(seed=87))
+    again = s.chain_marginal_check(model, (1.0, 0.5), 2_000, ecfg(seed=87))
+    assert sorted(calls) == [0.5, 1.0]
+    assert sorted(first.records, key=repr) == sorted(again.records, key=repr)
+    s.chain_marginal_check(replace(model, q=replace(model.q)), (1.0,), 100, ecfg())
+    assert sorted(calls) == [0.5, 1.0, 1.0]
+
+
 def test_chain_marginal_needs_finite_space():
     bd = s.zoo("birth_death_switch")
     with pytest.raises(ValueError):
