@@ -13,11 +13,11 @@ Subcommands map one-to-one to the checkers and the simulator::
 
 Every run reads one JSON scenario config (see ``config``), accepts
 ``--seed/--replicas/--dt/--threads`` overrides, writes JSON-lines report
-records stamped with the config hash. Reading the config, the assumption
-gate and the run share one error handler. A run that writes ``summary``
-records is judged by them, any other run by all of its records: exit 0 when
-every one passes, 1 otherwise. Exit codes for failures: 2 config error, 3
-model-assumption failure (witness printed), 4 numerical blowup.
+records stamped with the config hash. Reading the config, the checkers'
+assumption gates and the run share one error handler. A run that writes
+``summary`` records is judged by them, any other run by all of its records:
+exit 0 when every one passes, 1 otherwise. Exit codes for failures: 2 config
+error, 3 model-assumption failure (witness printed), 4 numerical blowup.
 """
 
 from __future__ import annotations
@@ -34,16 +34,7 @@ from .config import (ScenarioConfig, build_model, build_sim, config_hash,
                      load_config, validate_task)
 from .engine import simulate_path
 from .errors import ConfigError, InvalidModelError, NumericalBlowupError
-from .models import HARNACK_PREREQUISITES, SamplingPlan, check_assumptions
 from .trajectory import Trajectory
-
-_GATES = {
-    "moments": ("band_structure", "coefficient_growth", "rate_linear_growth"),
-    "holding": ("band_structure", "rate_regime_linear"),
-    "harnack": HARNACK_PREREQUISITES,
-    "truncation-check": ("band_structure", "rate_regime_linear",
-                         "coefficient_growth"),
-}
 
 
 def _function_from_task(task: dict):
@@ -60,13 +51,6 @@ def _function_from_task(task: dict):
         return lambda X, lam: np.ones(len(np.atleast_2d(X)))
     raise ConfigError(f"unknown observable {name!r}; "
                       "have gauss, indicator_x1, one")
-
-
-def _gate(model, subcommand) -> None:
-    names = _GATES.get(subcommand)
-    if names:
-        plan = SamplingPlan(n_pairs=2048, n_rate_pairs=64, max_regime=10)
-        check_assumptions(model, plan).require(*names)
 
 
 def _output_paths(cfg: ScenarioConfig) -> dict:
@@ -272,7 +256,6 @@ def run(subcommand: str, config_path, *, seed=None, replicas=None, dt=None,
         model = build_model(cfg)
         sim = build_sim(cfg, seed=seed, replicas=replicas, dt=dt,
                         threads=threads)
-        _gate(model, subcommand)
         paths = _output_paths(cfg)
         records, traj = _RUNNERS[subcommand](model, sim, task, config_hash(cfg))
         _write_outputs(paths, records, traj)

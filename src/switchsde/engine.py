@@ -119,8 +119,8 @@ def regime_groups(lam: np.ndarray) -> list:
     ascending row indices ``np.flatnonzero(lam == regime)``, so a gather or
     scatter through it keeps the rows' order. The regimes present come from a
     sort, whose cost follows the row count and never the regime values (the
-    regime space may be infinite). Read by the Euler kernel, the start-regime
-    check, the state-dependent row reads and ``harnack_cost_values``.
+    regime space may be infinite). Read by the Euler kernel, the
+    state-dependent row reads and ``harnack_cost_values``.
     """
     if not len(lam):
         return []
@@ -177,23 +177,20 @@ def ou_transition(X: np.ndarray, beta, a, s, h, xi: np.ndarray) -> np.ndarray:
 
 def _start_regimes(q: QMatrixSpec, i0, n: int) -> np.ndarray:
     """``i0`` (one regime, or one per row) as ``n`` start regimes; a
-    ValueError naming a start regime outside the regime space of ``q``."""
-    if np.ndim(i0) == 0:
-        starts = [int(i0)]
-        lam = np.full(n, starts[0], dtype=np.int64)
-    else:
-        lam = np.asarray(i0).astype(np.int64)
-        if lam.shape != (n,):
-            raise ValueError(f"i0 shape {lam.shape} incompatible with "
-                             f"{n} replicas")
-        starts = [k for k, _ in regime_groups(lam)]
-    for i in starts:
-        if i < 1 or (q.n_regimes is not None and i > q.n_regimes):
-            space = (f"1..{q.n_regimes}" if q.n_regimes is not None
-                     else "1, 2, ...")
-            raise ValueError(f"start regime {i} is outside the regime space "
-                             f"{{{space}}}")
-    return lam
+    ValueError names a start that is not an integer or lies outside ``q``."""
+    given = np.asarray(i0)
+    if given.ndim and given.shape != (n,):
+        raise ValueError(f"i0 shape {given.shape} incompatible with "
+                         f"{n} replicas")
+    bad = given[~(np.isfinite(given) & (given == np.round(given)))]
+    if bad.size:
+        raise ValueError(f"start regime {bad[0]} is not an integer")
+    outside = given[(given < 1) | (given > (q.n_regimes or np.inf))]
+    if outside.size:
+        space = "1, 2, ..." if q.n_regimes is None else f"1..{q.n_regimes}"
+        raise ValueError(f"start regime {int(outside.min())} is outside the "
+                         f"regime space {{{space}}}")
+    return np.broadcast_to(given, (n,)).astype(np.int64)
 
 
 class _Rows:

@@ -46,6 +46,7 @@ _HARNACK_F_FLOOR = 1e-6  # observables are clamped here before the log
 # envelope is increasing in it, so a larger value only loosens the bound and
 # a smaller one may make it invalid
 C1_MAXIMAL = 3.0
+_TRUNCATION = ("band_structure", "rate_regime_linear", "coefficient_growth")
 
 
 # --- estimate containers ------------------------------------------------------
@@ -119,10 +120,16 @@ def wilson_lower(successes: int, n: int) -> float:
 
 # --- batched execution ---------------------------------------------------------
 
-def _spans(n: int):
+def _check_replicas(n: int) -> None:
     if n < 1:
         raise ValueError(f"need n >= 1 replicas, got n = {n}")
-    return [(lo, min(lo + BATCH_REPLICAS, n)) for lo in range(0, n, BATCH_REPLICAS)]
+
+
+def _require(model: ModelSpec, T: float, *names: str) -> None:
+    """``InvalidModelError`` on the first of ``names`` failed at t = 0 or T."""
+    plan = SamplingPlan(n_pairs=2048, n_rate_pairs=64, max_regime=10,
+                        times=(0.0, float(T)))
+    check_assumptions(model, plan).require(*names)
 
 
 def _ordered_map(fn, items, threads: int) -> list:
@@ -137,7 +144,9 @@ def _ordered_map(fn, items, threads: int) -> list:
 def _run_batches(n: int, threads: int, kernel, axis: int = 0) -> dict:
     """Run ``kernel(lo, hi) -> dict[str, array]`` over fixed replica spans and
     concatenate outputs along ``axis`` in span order."""
-    results = _ordered_map(lambda span: kernel(*span), _spans(n), threads)
+    _check_replicas(n)
+    spans = [(lo, min(lo + BATCH_REPLICAS, n)) for lo in range(0, n, BATCH_REPLICAS)]
+    results = _ordered_map(lambda span: kernel(*span), spans, threads)
     return {key: np.concatenate([r[key] for r in results], axis=axis)
             for key in results[0]}
 
@@ -232,9 +241,13 @@ def moment_bound_check(model: ModelSpec, x, i: int, T: float, n: int,
                        cfg: SimConfig, threads: int = 1) -> BoundReport:
     """Upper-bound check: MC estimate of ``sup|X|^2 + sup Lambda^2`` (running
     maxima over the sampled times) against the closed-form envelope.
-    ``margin = rhs - (mean + 3 se)``."""
+    ``margin = rhs - (mean + 3 se)``; requires ``band_structure``,
+    ``coefficient_growth`` and ``rate_linear_growth`` at t = 0 and T."""
     if math.isnan(model.q.linear_bound_alpha) or model.growth_c is None:
         raise InvalidModelError("moment bound needs alpha/beta/c(t) metadata")
+    _check_replicas(n)
+    _require(model, T, "band_structure", "coefficient_growth",
+             "rate_linear_growth")
     scheme = EVENT_DRIVEN if model.q.state_independent else FROZEN_RATE
     out = _stacked_run(model, scheme, [x], i, T, n, cfg, threads,
                        track_xmax=True)
@@ -271,14 +284,16 @@ def holding_time_check(model: ModelSpec, x, k: int, K: int,
                        t_grid: Sequence[float], n: int, cfg: SimConfig,
                        threads: int = 1) -> list[BoundReport]:
     """Per grid time: 99.7% Wilson lower bound for P(eta >= t | start (x, k))
-    against the dominating-chain floor. ``margin = wilson_lower - floor``."""
+    against the dominating-chain floor. ``margin = wilson_lower - floor``;
+    requires ``band_structure`` and ``rate_regime_linear`` at t = 0 and
+    ``max(t_grid)``."""
     if k > K:
         raise ValueError(f"need k <= K, got k={k} > K={K}")
+    _check_replicas(n)
     horizon = float(max(t_grid))
+    _require(model, horizon, "band_structure", "rate_regime_linear")
     n_aborted = 0
     if model.q.state_independent:
-        if n < 1:
-            raise ValueError(f"need n >= 1 replicas, got n = {n}")
         keys = NoiseStream(cfg.seed).replica_keys(np.arange(n, dtype=np.uint64))
         eta = first_switch_times(model.q, k, keys)
     else:
@@ -322,8 +337,7 @@ def harnack_cost_values(model: ModelSpec, lam_T: np.ndarray, T: float,
 
 def _require_harnack_prerequisites(model: ModelSpec, horizons) -> None:
     """Positive horizons, state-independent rates, and every
-    ``HARNACK_PREREQUISITES`` check, under one plan per horizon T sampled at
-    t = 0 and t = T (the model keeps each report)."""
+    ``HARNACK_PREREQUISITES`` check on [0, T] for each horizon T."""
     for T in horizons:
         if not T > 0:
             raise ValueError(f"the Harnack horizon must be positive, got T={T}")
@@ -331,9 +345,7 @@ def _require_harnack_prerequisites(model: ModelSpec, horizons) -> None:
         raise UnsupportedSchemeError("the coupling argument needs "
                                      "state-independent rates")
     for T in horizons:
-        plan = SamplingPlan(n_pairs=1024, n_rate_pairs=32, max_regime=8,
-                            times=(0.0, float(T)))
-        check_assumptions(model, plan).require(*HARNACK_PREREQUISITES)
+        _require(model, T, *HARNACK_PREREQUISITES)
 
 
 def harnack_check(model: ModelSpec, f: Callable, x, y, i: int, T: float,
@@ -348,7 +360,7 @@ def harnack_check(model: ModelSpec, f: Callable, x, y, i: int, T: float,
     cost term's error. ``params["sigma_gap"]`` reports the raw gap in
     combined-sigma units for classifying statistical misses. ``T`` must be
     positive, the rates state-independent and the model must pass every
-    ``HARNACK_PREREQUISITES`` check sampled at t = 0 and t = T.
+    ``HARNACK_PREREQUISITES`` check on [0, T].
     """
     _require_harnack_prerequisites(model, (T,))
 
@@ -521,7 +533,9 @@ def chain_marginal_check(model: ModelSpec, times: Sequence[float], n: int,
     q = model.q
     G = chain_generator_matrix(q)
     size = G.shape[0]
-    starts = list(starts or range(1, size + 1))
+    starts = list(range(1, size + 1) if starts is None else starts)
+    if not starts:
+        raise ValueError("need at least one start regime; None means all")
     horizon = float(max(times))
     records = []
     within = 0
@@ -567,13 +581,15 @@ def truncation_identity_batch(model: ModelSpec, x0, i0, K, cfg: SimConfig,
     truncated ones as another. A case's two paths must agree
     sample-for-sample (times, positions, regimes, bitwise) up to and
     including the first sampled time where ``|X_t| + Lambda_t > K``.
-    Returns one result per case, in case order.
+    Returns one result per case, in case order. Requires ``band_structure``,
+    ``rate_regime_linear`` and ``coefficient_growth`` at t = 0 and cfg.horizon.
     """
     n = len(seeds)
     x0 = np.asarray(x0, dtype=float)
     X0 = np.tile(as_point(x0), (n, 1)) if x0.ndim <= 1 else x0
     lam0, Ks, reps = (np.broadcast_to(v, n) for v in (i0, K, replicas))
     check_truncation_start(X0, lam0, Ks)
+    _require(model, cfg.horizon, *_TRUNCATION)
     seeds = np.asarray(seeds)
     runs = [None] * n  # case -> (plain run, truncated run, row)
     for k in np.unique(Ks).tolist():
@@ -599,10 +615,9 @@ def truncation_identity_check(model: ModelSpec, x0, i0: int, K: int,
 def _identity_record(full, trunc) -> dict:
     """Compare a plain and a truncated trajectory up to the exit time."""
     tau = min(full.tau_k, trunc.tau_k)
-    ka = np.searchsorted(full.times, tau, side="right") if math.isfinite(tau) \
-        else len(full.times)
-    kb = np.searchsorted(trunc.times, tau, side="right") if math.isfinite(tau) \
-        else len(trunc.times)
+    # an infinite tau sorts after every sampled time: the whole paths compare
+    ka = np.searchsorted(full.times, tau, side="right")
+    kb = np.searchsorted(trunc.times, tau, side="right")
     same = (ka == kb
             and np.array_equal(full.times[:ka], trunc.times[:kb])
             and np.array_equal(full.x[:ka], trunc.x[:kb])
@@ -617,7 +632,12 @@ def truncation_exit_bound_check(model: ModelSpec, x0, i0: int, K: int, t: float,
                                 threads: int = 1) -> BoundReport:
     """Markov-type exit bound: empirical ``P(tau_K <= t)`` against the
     second-moment envelope divided by K (position-free rate certificate).
-    ``margin = rhs - (p_hat + 3 se)``."""
+    ``margin = rhs - (p_hat + 3 se)``; needs ``|x0| + i0 < K`` and, at
+    t = 0 and t, the identity check's ``band_structure``,
+    ``rate_regime_linear`` and ``coefficient_growth``."""
+    check_truncation_start(as_point(x0), i0, K)
+    _check_replicas(n)
+    _require(model, t, *_TRUNCATION)
     out = _stacked_run(model, EVENT_DRIVEN, [x0], i0, t, n, cfg, threads,
                        trunc_level=float(K))
     hit = out["tau_k"][0] <= t

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import switchsde as s
+from switchsde import cli
 from switchsde import estimators as est
 from switchsde.cli import run
 from switchsde.config import (TASK_KEYS, build_model, build_sim, config_hash,
@@ -407,6 +409,28 @@ def test_assumption_gate_exit_code(tmp_path):
     assert run("harnack", write_config(tmp_path, cfg)) == 3
 
 
+def test_harnack_samples_one_plan_per_horizon(tmp_path, monkeypatch):
+    # the checkers are the only assumption gate: a harnack run samples one
+    # plan per horizon, and nothing else samples the model again
+    seen = []
+    check = s.check_assumptions
+
+    def spy(model, plan=None):
+        seen.append((model, plan))
+        return check(model, plan)
+
+    monkeypatch.setattr(cli, "check_assumptions", spy, raising=False)
+    monkeypatch.setattr(est, "check_assumptions", spy)
+    code, records = small_run(tmp_path, "harnack")  # T_values 0.25 and 0.5
+    assert code == expected_code(records)
+    models = {id(model): model for model, _ in seen}
+    assert len(models) == 1
+    (model,) = models.values()
+    assert sorted(plan.times for plan in model._reports) == [(0.0, 0.25),
+                                                             (0.0, 0.5)]
+    assert {plan for _, plan in seen} == set(model._reports)
+
+
 def test_blowup_exit_code(tmp_path):
     import warnings
     for scheme in ("event_driven_exact", "frozen_rate"):
@@ -589,3 +613,31 @@ def test_example_scenario_runs(tmp_path, monkeypatch, path):
         rows = (outdir / out["plot_data"]).read_text().splitlines()
         plotted = [r for r in records if r["checker"] != "summary"]
         assert len(rows) == 1 + len(plotted)
+
+
+# --- report bytes of the subcommands whose checkers gate on the assumptions --------
+
+# sha256 of each reports.jsonl; the output dir is relative, so the config hash
+# in every record is the same wherever the test runs
+PINNED_RUNS = {
+    "moments": ({"x0": [0.5], "i0": 1, "T_values": [0.25, 0.5]},
+                "7b7c9abde74d2f0e13e6edf54a2d8a953fafb805aa6179cd5c1685c93ab9b9e7"),
+    "holding": ({"x0": [0.0], "K_values": [3], "t_grid": [0.1, 0.5]},
+                "cd2615808cf6c97e6df8ad873c39e8c9f22bbb186b399f7399efc6ef443ceccd"),
+    "truncation-check": ({"x0": [0.2], "i0": 2, "K_values": [6],
+                          "compare_cases": 2},
+                         "5b9a9d47afc7f0c3bb2fd3a194c49791b9c5ab7e2e7d93a89a971932495d6a6f"),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(PINNED_RUNS))
+def test_gated_subcommand_report_bytes_are_pinned(tmp_path, monkeypatch, sub):
+    task, digest = PINNED_RUNS[sub]
+    cfg = {"model": _BD,
+           "sim": {"T": 0.5, "dt": 0.01, "seed": 17,
+                   "scheme": "event_driven_exact", "replicas": 1000},
+           "task": task, "output": {"dir": sub}}
+    monkeypatch.chdir(tmp_path)
+    assert run(sub, write_config(tmp_path, cfg)) == 0
+    got = hashlib.sha256((tmp_path / sub / "reports.jsonl").read_bytes())
+    assert got.hexdigest() == digest

@@ -795,6 +795,33 @@ def test_per_row_start_regimes_name_the_smallest_outside():
         first_switch_times(m.q, i0, NoiseStream(1).replica_keys(reps))
 
 
+@pytest.mark.parametrize("i0, named", [(1.7, "1.7"), (np.nan, "nan"),
+                                       (np.array([1.0, 1.9, 2.2, 2.0]), "1.9")])
+def test_non_integer_start_regimes_rejected(ou_model, i0, named):
+    reps = np.arange(4, dtype=np.uint64)
+    match = f"start regime {named} is not an integer"
+    for runner in (run_event_driven, run_frozen):
+        with pytest.raises(ValueError, match=match):
+            runner(ou_model, np.zeros(1), i0, 0.5, 0.1, NoiseStream(1), reps)
+    with pytest.raises(ValueError, match=match):
+        first_switch_times(ou_model.q, i0, NoiseStream(1).replica_keys(reps))
+    if np.ndim(i0) == 0:
+        with pytest.raises(ValueError, match=match):
+            s.simulate_path(ou_model, [0.0], i0, cfg(T=0.1))
+
+
+def test_integral_float_start_regimes_accepted(ou_model):
+    reps = np.arange(4, dtype=np.uint64)
+    for runner in (run_event_driven, run_frozen):
+        a = runner(ou_model, np.zeros(1), 2.0, 0.5, 0.1, NoiseStream(1), reps)
+        b = runner(ou_model, np.zeros(1), 2, 0.5, 0.1, NoiseStream(1), reps)
+        assert np.array_equal(a["x"], b["x"])
+    keys = NoiseStream(1).replica_keys(reps)
+    assert np.array_equal(first_switch_times(ou_model.q, np.full(4, 2.0), keys),
+                          first_switch_times(ou_model.q, 2, keys))
+    assert s.simulate_path(ou_model, [0.0], 2.0, cfg(T=0.1)).regime[0] == 2
+
+
 def test_countable_space_has_no_top_regime():
     bd = s.zoo("birth_death_switch")
     out = run_event_driven(bd, np.zeros(1), 40, 0.1, 0.01, NoiseStream(2),

@@ -152,6 +152,65 @@ def test_frozen_holding_check_rejects_fewer_than_one_replica(scalar_rate_q):
         _ESTIMATORS["holding_time_check"](m, 0)
 
 
+# the conditions each bound checker's bound rests on, and a call of it
+_MOMENTS = ("band_structure", "coefficient_growth", "rate_linear_growth")
+_HOLDING = ("band_structure", "rate_regime_linear")
+_TRUNCATION = ("band_structure", "rate_regime_linear", "coefficient_growth")
+_GATED = {
+    "moment_bound_check": (_MOMENTS, lambda m: s.moment_bound_check(
+        m, [0.5], 1, 0.5, 100, ecfg())),
+    "holding_time_check": (_HOLDING, lambda m: s.holding_time_check(
+        m, [0.0], 1, 2, (0.1, 0.5), 100, ecfg())),
+    "truncation_identity_batch": (_TRUNCATION, lambda m: (
+        s.truncation_identity_batch(m, [0.0], 1, 5, ecfg(T=0.5), [1, 2]))),
+    "truncation_exit_bound_check": (_TRUNCATION, lambda m: (
+        s.truncation_exit_bound_check(m, [0.0], 1, 5, 0.5, 100, ecfg()))),
+}
+_THREE = s.linear_switching_model(dim=1, beta=(1.0,) * 3, a=(0.0,) * 3,
+                                  s=(1.0,) * 3, rates=np.ones((3, 3)))
+# each breaks the one condition it names, or (a ceiling alpha too low) both
+# rate-growth certificates, of which every checker requires only one
+_LOW_ALPHA = lambda m: replace(m, q=replace(m.q, linear_bound_alpha=0.1))  # noqa: E731
+_BREAK = {
+    "band_structure": lambda m: replace(m, q=replace(m.q, kappa=1)),
+    "coefficient_growth": lambda m: replace(m, growth_c=lambda t: 1e-6),
+    "rate_linear_growth": _LOW_ALPHA,
+    "rate_regime_linear": _LOW_ALPHA,
+}
+
+
+@pytest.mark.parametrize("name, condition", [
+    (name, cond) for name, (conds, _) in sorted(_GATED.items())
+    for cond in conds])
+def test_bound_checkers_require_their_conditions(monkeypatch, name,
+                                                 condition):
+    def runner(*args, **kwargs):
+        raise AssertionError("a runner was called")
+
+    for r in ("run_event_driven", "run_frozen", "first_switch_times"):
+        monkeypatch.setattr(estimators, r, runner)
+    conditions, call = _GATED[name]
+    m = _BREAK[condition](_THREE)
+    with pytest.raises(s.InvalidModelError,
+                       match=f"assumption {condition} failed"):
+        call(m)
+    # one plan sampled, at t = 0 and the horizon, failing exactly one of
+    # the conditions this checker requires
+    (plan, report), = m._reports.items()
+    assert plan.times == (0.0, 0.5)
+    assert [c for c in conditions if not report[c].passed] == [condition]
+
+
+def test_moment_check_samples_its_own_horizon():
+    # the growth envelope collapses from t = 1.5 on
+    ou = s.zoo("switching_ou")
+    m = replace(ou, growth_c=lambda t: 1e-6 if t >= 1.5 else ou.growth_c(t))
+    with pytest.raises(s.InvalidModelError,
+                       match=r"coefficient_growth failed.*'t': 2\.0"):
+        s.moment_bound_check(m, [0.5], 1, 2.0, 100, ecfg(T=2.0))
+    assert s.moment_bound_check(m, [0.5], 1, 0.5, 100, ecfg()).passed
+
+
 def test_harnack_trivial_cases(ou_model):
     c = ecfg(T=0.5, dt=2e-3, seed=82, n=4000)
     const = lambda X, lam: np.full(len(X), 0.3)
@@ -449,6 +508,11 @@ def test_chain_marginal_needs_finite_space():
         s.chain_marginal_check(bd, (0.5,), 100, ecfg())
 
 
+def test_chain_marginal_rejects_no_starts(ou_model):
+    with pytest.raises(ValueError, match="at least one start regime"):
+        s.chain_marginal_check(ou_model, (0.5,), 100, ecfg(), starts=[])
+
+
 def test_truncation_exit_bound(ou_model):
     bd = s.zoo("birth_death_switch")
     rep = s.truncation_exit_bound_check(bd, [0.2], 2, 8, 0.5, 10_000,
@@ -458,6 +522,13 @@ def test_truncation_exit_bound(ou_model):
     rep2 = s.truncation_exit_bound_check(bd, [0.2], 2, 12, 0.5, 10_000,
                                          ecfg(dt=2e-3, seed=88))
     assert rep2.lhs.mean <= rep.lhs.mean + 3 * (rep.lhs.stderr + rep2.lhs.stderr)
+
+
+def test_truncation_exit_bound_rejects_a_start_outside_the_window():
+    bd = s.zoo("birth_death_switch")
+    with pytest.raises(ValueError,
+                       match=r"need \|x0\| \+ i0 < K, got 11\.0 >= 5"):
+        s.truncation_exit_bound_check(bd, [10.0], 1, 5, 0.5, 1000, ecfg())
 
 
 @pytest.mark.filterwarnings("ignore::switchsde.errors.StiffSwitchingWarning")
