@@ -2,10 +2,10 @@
 
 Two schemes, each one batch runner over replica rows that serves both
 batches and recorded paths. Rows may differ in start point, start regime and
-seed. In recording mode a runner logs every row's sample times, positions
-and regimes and a table of its switches; ``recorded_path`` turns one row of
-that log into a trajectory, and a single path (``simulate_path``) is the
-one-row view of one run:
+seed. Both runners switch rows through one step (``_Rows.switch``). In
+recording mode a runner logs every row's sample times, positions and regimes
+and a table of its switches; ``recorded_path`` turns one row of that log
+into a trajectory, and ``simulate_path`` is the one-row view of one run:
 
 * ``frozen_rate`` (``run_frozen``) -- works for state-dependent rates. Per
   step ``[t, t+dt)`` the switching intensity is frozen at the step start; an
@@ -196,7 +196,8 @@ def _start_regimes(q: QMatrixSpec, i0, n: int) -> np.ndarray:
 class _Rows:
     """Per-row state of a batch run, shared by both runners: positions,
     regimes, first-switch times, running regime and norm maxima, truncation
-    exit times and, in recording mode, every row's path log and switches."""
+    exit times and, in recording mode, every row's path log and switches.
+    ``switch`` is the one place where a row changes regime."""
 
     def __init__(self, model: ModelSpec, x0, i0, replicas,
                  trunc_level: Optional[float], track_xmax: bool, record: bool):
@@ -207,6 +208,8 @@ class _Rows:
         if self.X.shape != (n, d):
             raise ValueError(f"x0 shape {x0.shape} incompatible with "
                              f"{n} replicas in dimension {d}")
+        if (bad := self.X[~np.isfinite(self.X).all(axis=1)]).size:
+            raise ValueError(f"start point {bad[0].tolist()} is not finite")
         self.lam = _start_regimes(model.q, i0, n)
         self.eta = np.full(n, np.inf)
         self.lam_max = self.lam.astype(float)
@@ -233,11 +236,6 @@ class _Rows:
             self._log.append((rows, t if np.ndim(t) else np.full(len(rows), t),
                               self.X[rows], self.lam[rows]))
 
-    def log_switches(self, idx, t, src, dst, marks) -> None:
-        """Enter the switches of rows ``idx`` at times ``t`` from ``src`` to
-        ``dst`` at absolute marks ``marks`` into the switch table."""
-        self._switches.append((self._ids[idx], t, src, dst, marks))
-
     def observe(self, idx, t) -> None:
         """Fold the states of rows ``idx`` at times ``t`` into the running
         norm maxima and the truncation exit times."""
@@ -255,15 +253,24 @@ class _Rows:
                 tau[crossed] = t[crossed] if np.ndim(t) else t
                 self.tau[idx] = tau
 
-    def switch(self, idx, t: np.ndarray, new: np.ndarray) -> None:
-        """Move rows ``idx`` to regimes ``new`` at times ``t``; a row's first
-        actual change of regime sets its ``eta``."""
+    def switch(self, idx, t, new, marks) -> None:
+        """The one switch step: rows ``idx`` switch at times ``t`` to regimes
+        ``new`` at absolute marks ``marks``. Rows that move enter the switch
+        table (recording mode) and a row's first move sets its ``eta``; then
+        every row takes its new regime and is observed and logged at ``t``.
+        A switch that leaves the regime unchanged (a frozen-rate clock that
+        fires where the row is empty) is so logged, but never tabled."""
+        src = self.lam[idx]
+        mv = new != src
+        if self.recording:
+            self._switches.append((self._ids[idx][mv], t[mv], src[mv],
+                                   new[mv], marks[mv]))
         eta = self.eta[idx]
-        first = np.isinf(eta) & (new != self.lam[idx])
-        eta[first] = t[first]
-        self.eta[idx] = eta
+        self.eta[idx] = np.where(np.isinf(eta) & mv, t, eta)
         self.lam[idx] = new
         self.lam_max[idx] = np.maximum(self.lam_max[idx], new)
+        self.observe(idx, t)
+        self.log(idx, t)
 
     def result(self) -> dict:
         aborted = ~np.all(np.isfinite(self.X), axis=1)
@@ -479,13 +486,9 @@ def run_event_driven(model: ModelSpec, x0, i0, T: float, dt: float,
             if not jidx.size:
                 break  # every replica reached t1 without a pending switch
             new_j, hold, marks = _skeleton_switch(q, keys, jump_ctr, lam, jidx)
-            if record:
-                rows.log_switches(jidx, seg[jidx], lam[jidx], new_j, marks)
-            rows.switch(jidx, seg[jidx], new_j)
-            rows.log(jidx, seg[jidx])
+            rows.switch(jidx, seg[jidx], new_j, marks)
             if lincoef is not None:
                 co_beta[jidx], co_a[jidx], co_s[jidx] = lincoef(new_j)
-            rows.observe(jidx, seg[jidx])
             next_jump[jidx] = seg[jidx] + hold
     return rows.result()
 
@@ -497,9 +500,7 @@ def run_frozen(model: ModelSpec, x0, i0, T: float, dt: float,
     """Batch simulation under the frozen-rate scheme (state-dependent rates
     allowed); arguments and outputs, the recording mode's ``log`` and
     ``switches`` included, as for ``run_event_driven``. A row is logged at
-    each step's end, at its switch (before and after the post-switch
-    substep) and where it died; a switch that leaves the regime unchanged
-    (an empty row at the switch point) is logged but enters no switch table.
+    each step's end, at its switch (``_Rows.switch``) and where it died.
 
     Step ``g`` reads its clock at jump index ``2g``, its mark at ``2g + 1``
     and its Euler draws at ``2dg + c`` before a switch and ``2dg + d + c``
@@ -546,17 +547,10 @@ def run_frozen(model: ModelSpec, x0, i0, T: float, dt: float,
         if jr.size:
             s = t0 + s_rel[jumped]
             U = keyed_uniform(keys[jr], LANE_JUMP, np.uint64(2 * g + 1))
-            src = lam[jr]
-            new, marks = _switch_targets(q, src, U, X[jr])
-            if record:
-                mv = new != src
-                rows.log_switches(jr[mv], s[mv], src[mv], new[mv], marks[mv])
-            rows.switch(jr, s, new)
-            rows.observe(jr, s)
-            rows.log(jr, s)
+            rows.switch(jr, s, *_switch_targets(q, lam[jr], U, X[jr]))
             xi = keyed_normal(keys[jr][:, None], LANE_EULER,
                               np.uint64(2 * d * g + d) + comps)
-            X[jr] = euler_step(model, s, X[jr], new, t1 - s, xi)
+            X[jr] = euler_step(model, s, X[jr], lam[jr], t1 - s, xi)
             ok[jumped] = np.isfinite(X[jr]).all(axis=1)
             rows.log(jr, t1)
         if not ok.all():
@@ -628,7 +622,7 @@ def check_truncation_start(x0, i0, K) -> None:
     ``|x0| + i0 < K``; ``x0`` is a point or ``(n, d)``, ``i0`` and ``K``
     numbers or ``(n,)`` arrays."""
     level = np.linalg.norm(np.atleast_2d(x0), axis=1) + i0
-    over = np.flatnonzero(level >= K)
+    over = np.flatnonzero(~(level < K))  # a NaN start is over too
     if over.size:
         k = over[0]
         raise ValueError(f"need |x0| + i0 < K, got {level[k]} >= "

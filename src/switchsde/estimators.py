@@ -243,8 +243,8 @@ def moment_bound_check(model: ModelSpec, x, i: int, T: float, n: int,
     maxima over the sampled times) against the closed-form envelope.
     ``margin = rhs - (mean + 3 se)``; requires ``band_structure``,
     ``coefficient_growth`` and ``rate_linear_growth`` at t = 0 and T."""
-    if math.isnan(model.q.linear_bound_alpha) or model.growth_c is None:
-        raise InvalidModelError("moment bound needs alpha/beta/c(t) metadata")
+    if model.growth_c is None:
+        raise InvalidModelError("moment bound needs c(t) metadata")
     _check_replicas(n)
     _require(model, T, "band_structure", "coefficient_growth",
              "rate_linear_growth")

@@ -257,6 +257,7 @@ class _Acc:
         lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
         viol = lhs - rhs
+        viol[np.isnan(viol)] = np.inf  # a NaN violation fails its condition
         self.n += viol.size
         k = int(np.argmax(viol))
         if viol[k] > self.worst:
@@ -287,9 +288,10 @@ _CONDITIONS = (
 
 
 def check_assumptions(m: ModelSpec, plan: SamplingPlan | None = None) -> AssumptionReport:
-    """Probe every regularity condition on sampled grids; report a failed one,
-    never raise it. A negative or non-finite rate at a sampled point is a broken
-    model: ``QMatrixSpec.row`` raises ``InvalidModelError`` naming it (exit 3).
+    """Probe every regularity condition on sampled grids; report a failed one
+    (a NaN violation counts as infinite, so it fails), never raise it. A
+    negative or non-finite rate at a sampled point is a broken model:
+    ``QMatrixSpec.row`` raises ``InvalidModelError`` naming it (exit 3).
     ``m`` keeps the report, one per plan, and a repeated call returns it.
 
     Condition names (one result each):

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -77,10 +78,12 @@ class QMatrixSpec:
     n_regimes: Optional[int] = None
 
     def __post_init__(self):
-        if self.kappa < 1:
-            raise ValueError("kappa must be a positive integer")
-        if self.n_regimes is not None and self.n_regimes < 1:
-            raise ValueError("n_regimes must be positive when finite")
+        k, n = self.kappa, self.n_regimes
+        if not (isinstance(k, numbers.Integral) and k >= 1):
+            raise ValueError(f"kappa must be a positive integer, got {k!r}")
+        if n is not None and not (isinstance(n, numbers.Integral) and n >= 1):
+            raise ValueError(f"n_regimes must be None or a positive integer, "
+                             f"got {n!r}")
 
     def band(self, i: int) -> list[int]:
         """Destinations reachable from ``i``: within the band, >= 1, in range."""
@@ -349,9 +352,9 @@ def truncate_q(q: QMatrixSpec, K: int) -> QMatrixSpec:
     The result is conservative and coincides with ``q`` on {1..K} wherever
     |x| <= K.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    kappa = q.kappa
+    if not (isinstance(K, numbers.Real) and float(K).is_integer() and K >= 1):
+        raise ValueError(f"K must be an integer >= 1, got {K!r}")
+    kappa, K = q.kappa, int(K)
     n_out = K + kappa + 1
     base_rate = q.rate
     base_n = q.n_regimes

@@ -641,3 +641,24 @@ def test_gated_subcommand_report_bytes_are_pinned(tmp_path, monkeypatch, sub):
     assert run(sub, write_config(tmp_path, cfg)) == 0
     got = hashlib.sha256((tmp_path / sub / "reports.jsonl").read_bytes())
     assert got.hexdigest() == digest
+
+
+# JSON reads NaN and Infinity: a non-finite start is a config error, never a
+# run whose replicas all abort
+@pytest.mark.parametrize("sub, task", [
+    ("moments", {"x0": [math.nan], "i0": 1, "T_values": [0.5]}),
+    ("feller", {"x0": [math.nan], "i0": 1, "t": 0.5, "radii": [0.5, 0.1]}),
+    ("feller", {"x0": [0.0], "i0": 1, "t": 0.5, "radii": [0.5, math.nan]}),
+    ("simulate", {"x0": [math.inf], "i0": 1}),
+    ("truncation-check", {"x0": [math.nan], "i0": 1, "K_values": [6],
+                          "compare_cases": 2}),
+])
+def test_non_finite_start_is_a_config_error(tmp_path, capsys, sub, task):
+    cfg = {"model": _BD,
+           "sim": {"T": 0.5, "dt": 0.01, "seed": 11,
+                   "scheme": "event_driven_exact", "replicas": 200},
+           "task": task, "output": {"dir": str(tmp_path / "o")}}
+    assert run(sub, write_config(tmp_path, cfg)) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "is not finite" in err or "need |x0| + i0 < K" in err

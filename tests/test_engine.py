@@ -756,6 +756,45 @@ def test_frozen_switch_restarts_in_new_regime():
     assert switched >= 5
 
 
+@pytest.mark.filterwarnings("ignore::switchsde.errors.StiffSwitchingWarning")
+def test_frozen_switch_into_an_empty_row_is_logged_but_not_tabled():
+    # q_12(x) = 30 max(x, 0): a clock armed where x > 0 may fire after the
+    # Euler substep has carried x below 0, where row 1 is empty
+    def rate(x, i, j):
+        if (i, j) == (1, 2):
+            return 30.0 * max(float(x[0]), 0.0)
+        return 1.0 if (i, j) == (2, 1) else 0.0
+
+    m = s.ModelSpec(dim=1, q=s.QMatrixSpec(rate=rate, kappa=1, n_regimes=2),
+                    drift=lambda t, x, i: np.zeros_like(np.asarray(x, float)),
+                    diffusion=lambda t, x, i: 2.0, growth_c=lambda t: 4.0,
+                    dissipativity_c=lambda t, i: 1.0,
+                    diffusion_mod_c=lambda t, i: 1.0,
+                    ellipticity_lambda=lambda t: 2.0)
+    out = run_frozen(m, [0.0], 1, 1.0, 0.05, NoiseStream(3),
+                     np.arange(200, dtype=np.uint64), record=True)
+    assert not out["aborted"].any()
+    log, sw = out["log"], out["switches"]
+    # off the step grid a row is logged only at a switch
+    grid = [0.0] + [min(1.0, g * 0.05 + 0.05) for g in range(20)]
+    at_switch = np.flatnonzero(~np.isin(log["t"], grid))
+    moved = log["regime"][at_switch] != log["regime"][at_switch - 1]
+    assert (log["row"][at_switch] == log["row"][at_switch - 1]).all()
+    tabled = set(zip(sw["row"].tolist(), sw["t"].tolist()))
+    switches = list(zip(log["row"][at_switch].tolist(),
+                        log["t"][at_switch].tolist()))
+    still = [k for k, mv in zip(switches, moved) if not mv]
+    assert (len(switches), len(still)) == (302, 15)
+    # every move is tabled, and no switch that left the regime unchanged is
+    assert tabled == {k for k, mv in zip(switches, moved) if mv}
+    assert len(sw["row"]) == len(tabled)
+    # eta is the first tabled switch, never an earlier unchanged one
+    for row in range(200):
+        times = sw["t"][sw["row"] == row]
+        assert out["eta"][row] == (times[0] if times.size else np.inf)
+    assert any(out["eta"][r] > t for r, t in still)
+
+
 # --- guards ------------------------------------------------------------------------
 
 def test_event_driven_needs_state_independent(scalar_rate_q):
@@ -1047,3 +1086,23 @@ def test_path_blowup_reports_where_it_died(scheme):
     assert exc.value.t == 0.2
     assert exc.value.regime == 1
     assert not np.isfinite(exc.value.x).all()
+
+
+@pytest.mark.parametrize("runner", [run_frozen, run_event_driven])
+@pytest.mark.parametrize("x0, named", [
+    ([math.nan, 0.0], r"\[nan, 0\.0\]"), ([0.0, math.inf], r"\[0\.0, inf\]"),
+    ([[0.0, 1.0], [-math.inf, 2.0], [math.nan, 0.0]], r"\[-inf, 2\.0\]"),
+])
+def test_non_finite_start_points_rejected(runner, x0, named):
+    m = s.zoo("switching_ou", dim=2)
+    reps = np.arange(3, dtype=np.uint64)
+    with pytest.raises(ValueError, match=rf"start point {named} is not"):
+        runner(m, x0, 1, 0.5, 0.1, NoiseStream(1), reps)
+
+
+def test_nan_start_refused_before_truncation():
+    with pytest.raises(ValueError, match="need"):
+        engine.check_truncation_start([math.nan], 1, 5)
+    with pytest.raises(ValueError, match="need"):
+        s.simulate_truncated(s.zoo("birth_death_switch"), [math.nan], 1, 5,
+                             cfg())

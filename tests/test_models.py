@@ -218,3 +218,54 @@ def test_negative_rate_at_a_sampled_point_raises_with_its_witness():
     with pytest.raises(s.InvalidModelError) as exc:
         check_assumptions(m, plan)
     assert str(exc.value) == f"negative rate at (x={first}, i=1, j=2)"
+
+
+def _nan_violations():
+    """Seven models whose one bad certificate, constant or rate makes a
+    violation NaN, each with the conditions that must fail."""
+    ou = s.zoo("switching_ou", beta=(1.0, 2.0, 1.5), a=(0.0, 0.0, 0.0),
+               s=(1.0, 1.0, 1.0), rates=[[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    q, nan = ou.q, math.nan
+
+    def leak(x, i, j):  # NaN two regimes away, outside the band kappa = 1
+        return nan if abs(i - j) == 2 else q.rate(x, i, j)
+
+    return {
+        "alpha": (replace(ou, q=replace(q, linear_bound_alpha=nan)),
+                  ["rate_linear_growth", "rate_regime_linear"]),
+        "beta": (replace(ou, q=replace(q, linear_bound_beta=nan)),
+                 ["rate_linear_growth"]),
+        "growth_c": (replace(ou, growth_c=lambda t: nan),
+                     ["coefficient_growth"]),
+        "lambda": (replace(ou, ellipticity_lambda=lambda t: nan),
+                   ["uniform_ellipticity"]),
+        "C_i nan": (replace(ou, dissipativity_c=lambda t, i: nan),
+                    ["one_sided_dissipativity",
+                     "dissipativity_uniform_in_regime"]),
+        "C_i inf": (replace(ou, dissipativity_c=lambda t, i: math.inf),
+                    ["dissipativity_uniform_in_regime"]),
+        "rate outside band": (replace(ou, q=replace(q, rate=leak)),
+                              ["band_structure"]),
+    }
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.parametrize("case", sorted(_nan_violations()))
+def test_nan_violation_fails_its_condition(case):
+    m, failed = _nan_violations()[case]
+    rep = check_assumptions(m, quick_plan())
+    assert rep.failed() == failed
+    assert all(rep[name].max_violation == math.inf for name in failed)
+
+
+def test_checkers_refuse_a_nan_certificate():
+    # without the NaN rule both run: the moment check fails with a NaN rhs,
+    # the Harnack check reports a NaN rhs
+    cases = _nan_violations()
+    cfg = s.SimConfig(horizon=0.5, dt=0.01, scheme=s.EVENT_DRIVEN,
+                      replicas=100)
+    with pytest.raises(s.InvalidModelError, match="coefficient_growth"):
+        s.moment_bound_check(cases["growth_c"][0], [0.5], 1, 0.5, 100, cfg)
+    with pytest.raises(s.InvalidModelError, match="uniform_ellipticity"):
+        s.harnack_check(cases["lambda"][0], s.gauss_function(), [0.0], [0.1],
+                        1, 0.5, 100, cfg)

@@ -374,3 +374,41 @@ def test_destination_skips_empty_intervals():
     assert int(s.row_layout(q, [0.0], 3).destination(0.0)) == 2
     batch = s.row_layout(q, np.zeros((2, 1)), 3)
     assert batch.destination(np.zeros(2)).tolist() == [2, 2]
+
+
+@pytest.mark.parametrize("kw, named", [
+    ({"kappa": 1.5}, "kappa"), ({"kappa": 2.0}, "kappa"),
+    ({"kappa": 0}, "kappa"), ({"kappa": "1"}, "kappa"),
+    ({"kappa": 1, "n_regimes": 4.5}, "n_regimes"),
+    ({"kappa": 1, "n_regimes": 3.0}, "n_regimes"),
+    ({"kappa": 1, "n_regimes": 0}, "n_regimes"),
+])
+def test_band_and_regime_count_must_be_integers(kw, named):
+    with pytest.raises(ValueError, match=named):
+        s.QMatrixSpec(rate=lambda x, i, j: 0.0, **kw)
+
+
+def test_numpy_integers_are_integers():
+    q = s.QMatrixSpec(rate=lambda x, i, j: 1.0, kappa=np.int64(2),
+                      n_regimes=np.int32(5))
+    assert q.band(3) == [1, 2, 4, 5]
+
+
+def test_truncation_level_must_be_integral():
+    base = birth_death_q()
+    for K in (5, 5.0, np.int64(5), np.float64(5.0)):
+        qk = s.truncate_q(base, K)
+        assert qk.n_regimes == 7 and type(qk.n_regimes) is int
+    for K in (2.5, 0, -1.0, math.nan, math.inf, "5", None):
+        with pytest.raises(ValueError, match="K must be an integer >= 1"):
+            s.truncate_q(base, K)
+
+
+@pytest.mark.filterwarnings("ignore::switchsde.errors.StiffSwitchingWarning")
+def test_integral_float_truncation_level_runs_to_the_boundary_row():
+    # K = 5.0 reaches the boundary row 7, whose band needs an integer
+    bd = s.zoo("birth_death_switch")
+    cfg = s.SimConfig(horizon=1.0, dt=0.01)
+    runs = [s.truncation_identity_batch(bd, [0.5], 4, K, cfg, range(100))
+            for K in (5, 5.0)]
+    assert runs[0] == runs[1]
