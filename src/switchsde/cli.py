@@ -30,11 +30,15 @@ import numpy as np
 
 from . import estimators as est
 from . import reports as rep
-from .config import (ScenarioConfig, build_model, build_sim, config_hash,
-                     load_config, validate_task)
+from .config import (ScenarioConfig, _reject_unknown, build_model, build_sim,
+                     config_hash, load_config, validate_task)
 from .engine import simulate_path
 from .errors import ConfigError, InvalidModelError, NumericalBlowupError
 from .trajectory import Trajectory
+
+
+_OBSERVABLE_KEYS = {"gauss": {"name", "scale", "center"},
+                    "indicator_x1": {"name"}, "one": {"name"}}
 
 
 def _function_from_task(task: dict):
@@ -42,15 +46,16 @@ def _function_from_task(task: dict):
     if not isinstance(spec, dict):
         raise ConfigError(f"task.f must be a JSON object, got {spec!r}")
     name = spec.get("name", "gauss")
+    if not isinstance(name, str) or name not in _OBSERVABLE_KEYS:
+        raise ConfigError(f"unknown observable {name!r}; "
+                          f"have {', '.join(_OBSERVABLE_KEYS)}")
+    _reject_unknown(spec, _OBSERVABLE_KEYS[name], f"task.f ({name})")
     if name == "gauss":
         return est.gauss_function(scale=spec.get("scale", 1.0),
                                   center=spec.get("center"))
     if name == "indicator_x1":
         return lambda X, lam: (np.asarray(X)[:, 0] > 0).astype(float)
-    if name == "one":
-        return lambda X, lam: np.ones(len(np.atleast_2d(X)))
-    raise ConfigError(f"unknown observable {name!r}; "
-                      "have gauss, indicator_x1, one")
+    return lambda X, lam: np.ones(len(np.atleast_2d(X)))
 
 
 def _output_paths(cfg: ScenarioConfig) -> dict:

@@ -63,7 +63,7 @@ from .errors import NumericalBlowupError, StiffSwitchingWarning
 from .models import ModelSpec, apply_diffusion, _sigma_stack
 from .noise import (LANE_EULER, LANE_JUMP, NoiseStream, keyed_exponential,
                     keyed_normal, keyed_uniform)
-from .qmatrix import (QMatrixSpec, as_point, row_layout, smooth_cutoff,
+from .qmatrix import (QMatrixSpec, _radial_cutoff, as_point, row_layout,
                       truncate_q, zero_rows)
 from .trajectory import JumpRecord, Trajectory
 
@@ -72,6 +72,15 @@ DEFAULT_SEED = 123456789
 FROZEN_RATE = "frozen_rate"
 EVENT_DRIVEN = "event_driven_exact"
 SCHEMES = (FROZEN_RATE, EVENT_DRIVEN)
+
+
+def _check_horizon(T: float, dt: Optional[float] = None) -> None:
+    """A ValueError unless the horizon ``T`` is finite and >= 0 and the step
+    ``dt``, when given, finite and > 0; a runner checks them before any work."""
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"horizon must be nonnegative and finite, got {T}")
 
 
 def step_count(T: float, dt: float) -> int:
@@ -92,11 +101,7 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (math.isfinite(self.horizon) and self.horizon >= 0):
-            raise ValueError(f"horizon must be nonnegative and finite, "
-                             f"got {self.horizon}")
+        _check_horizon(self.horizon, self.dt)
         K = self.truncation
         if K is not None and not (isinstance(K, numbers.Real)
                                   and math.isfinite(K)):
@@ -385,6 +390,7 @@ def run_chain(q: QMatrixSpec, i0: int, T: float, stream: NoiseStream,
     mark counts). Switches go through ``_skeleton_switch`` as in the full
     runner, so the skeletons agree bit-for-bit; passes draw for switching rows.
     """
+    _check_horizon(T)
     n = len(replicas)
     keys = stream.replica_keys(replicas)
     lam = np.full(n, int(i0), dtype=np.int64)
@@ -429,6 +435,7 @@ def run_event_driven(model: ModelSpec, x0, i0, T: float, dt: float,
     (times ``d``, plus the coordinate); rows on one skeleton therefore share
     every draw, whether they step on the ``dt`` grid or switch to switch.
     """
+    _check_horizon(T, dt)
     q, d = model.q, model.dim
     rows = _Rows(model, x0, i0, replicas, trunc_level, track_xmax, record)
     X, lam = rows.X, rows.lam
@@ -508,6 +515,7 @@ def run_frozen(model: ModelSpec, x0, i0, T: float, dt: float,
     A row whose state turns non-finite stops where it died and is reported
     in the ``aborted`` mask.
     """
+    _check_horizon(T, dt)
     q, d = model.q, model.dim
     rows = _Rows(model, x0, i0, replicas, trunc_level, track_xmax, record)
     X, lam = rows.X, rows.lam
@@ -576,8 +584,10 @@ def simulate_path(model: ModelSpec, x0, i0: int, cfg: SimConfig, *,
 # --- truncation ----------------------------------------------------------------
 
 def truncated_model(model: ModelSpec, K: int) -> ModelSpec:
-    """Coefficients scaled by the smooth radial cutoff and the rate matrix
-    folded onto {1, ..., K + kappa + 1}.
+    """``model`` with its coefficients scaled by the smooth radial cutoff
+    (``qmatrix._radial_cutoff``), its rates folded onto {1, ..., K + kappa +
+    1} under the same cutoff by ``truncate_q``, whose integer level names it,
+    and no ``linear_coeffs``; every other field is kept.
 
     The squared-diffusion table scales linearly with the cutoff, so the
     diffusion coefficient itself picks up the cutoff's square root. Regimes
@@ -585,36 +595,26 @@ def truncated_model(model: ModelSpec, K: int) -> ModelSpec:
     (those states are only reachable through the boundary row).
     """
     qK = truncate_q(model.q, K)
-    base_n = model.q.n_regimes
-    d = model.dim
+    K, base_n = int(K), model.q.n_regimes
 
     def clamp(i: int) -> int:
         return min(i, base_n) if base_n is not None else i
 
-    def cutoff(x):
-        """The cutoff at one point (d,) as a () array, or per row of (m, d)."""
-        return np.asarray(smooth_cutoff(np.linalg.norm(x, axis=-1), K))
-
     def driftK(t, x, i):
         x = np.asarray(x, dtype=float)
         b = np.asarray(model.drift(t, x, clamp(i)), dtype=float)
-        return b * cutoff(x)[..., None]
+        return b * np.asarray(_radial_cutoff(x, K))[..., None]
 
     def diffusionK(t, x, i):
         x = np.asarray(x, dtype=float)
         sig = model.diffusion(t, x, clamp(i))
-        root = np.sqrt(cutoff(x))
+        root = np.sqrt(_radial_cutoff(x, K))
         if x.ndim == 1:
             return np.asarray(sig, dtype=float) * root
-        return _sigma_stack(sig, x.shape[0], d) * root[:, None, None]
+        return _sigma_stack(sig, x.shape[0], model.dim) * root[:, None, None]
 
-    return ModelSpec(
-        dim=d, drift=driftK, diffusion=diffusionK, q=qK,
-        growth_c=model.growth_c, dissipativity_c=model.dissipativity_c,
-        diffusion_mod_c=model.diffusion_mod_c,
-        ellipticity_lambda=model.ellipticity_lambda,
-        u_id=model.u_id, u_tilde_id=model.u_tilde_id,
-        model_id=f"{model.model_id}|trunc{K}")
+    return replace(model, drift=driftK, diffusion=diffusionK, q=qK,
+                   linear_coeffs=None, model_id=f"{model.model_id}|trunc{K}")
 
 
 def check_truncation_start(x0, i0, K) -> None:
@@ -625,8 +625,10 @@ def check_truncation_start(x0, i0, K) -> None:
     over = np.flatnonzero(~(level < K))  # a NaN start is over too
     if over.size:
         k = over[0]
-        raise ValueError(f"need |x0| + i0 < K, got {level[k]} >= "
-                         f"{np.broadcast_to(K, level.shape)[k]}")
+        got = (f"{level[k]} >= {np.broadcast_to(K, level.shape)[k]}"
+               if np.isfinite(level[k])
+               else f"a start level {level[k]} that is not finite")
+        raise ValueError(f"need |x0| + i0 < K, got {got}")
 
 
 def simulate_truncated(model: ModelSpec, x0, i0: int, K: int, cfg: SimConfig, *,

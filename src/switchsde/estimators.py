@@ -26,9 +26,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from .engine import (EVENT_DRIVEN, FROZEN_RATE, DEFAULT_SEED, SimConfig,
-                     check_truncation_start, first_switch_times, recorded_path,
-                     regime_groups, run_chain, run_event_driven, run_frozen,
-                     truncated_model)
+                     _start_regimes, check_truncation_start,
+                     first_switch_times, recorded_path, regime_groups,
+                     run_chain, run_event_driven, run_frozen, truncated_model)
 # not called here; perfbench/tracing.py patches these names in this module
 from .engine import simulate_path, simulate_truncated  # noqa: F401
 from .errors import InvalidModelError, UnsupportedSchemeError
@@ -533,7 +533,8 @@ def chain_marginal_check(model: ModelSpec, times: Sequence[float], n: int,
     q = model.q
     G = chain_generator_matrix(q)
     size = G.shape[0]
-    starts = list(range(1, size + 1) if starts is None else starts)
+    starts = range(1, size + 1) if starts is None else starts
+    starts = _start_regimes(q, starts, len(starts)).tolist()
     if not starts:
         raise ValueError("need at least one start regime; None means all")
     horizon = float(max(times))

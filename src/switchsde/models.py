@@ -256,7 +256,8 @@ class _Acc:
     def update(self, lhs, rhs, witness_fn):
         lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
         rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-        viol = lhs - rhs
+        with np.errstate(invalid="ignore"):  # inf - inf: NaN, counted below
+            viol = lhs - rhs
         viol[np.isnan(viol)] = np.inf  # a NaN violation fails its condition
         self.n += viol.size
         k = int(np.argmax(viol))

@@ -331,26 +331,30 @@ def smooth_cutoff(r, lo: float):
     return out if out.ndim else float(out)
 
 
-def _cutoff_slope_bound() -> float:
-    # max |d/dr smooth_cutoff| on the unit transition, evaluated numerically
-    s = np.linspace(0.0, 1.0, 4097)
-    v = smooth_cutoff(s, 0.0)
-    return float(np.max(np.abs(np.diff(v))) * (len(s) - 1))
+def _radial_cutoff(x, K):
+    """``smooth_cutoff`` of ``|x|`` at level ``K`` for a point (d,) or each
+    row of (m, d): the one cutoff of the K-truncated rates and coefficients.
+    ``|x|`` is the last-axis sum ``np.linalg.norm(x, axis=-1)`` takes."""
+    return smooth_cutoff(np.sqrt(np.add.reduce(x * x, axis=-1)), K)
 
 
-_CUTOFF_SLOPE = _cutoff_slope_bound()
+# the cutoff's exact largest slope: with f(u) = exp(-1/u), r = f(s)/f(1-s),
+# |psi'(s)| = (1/s^2 + 1/(1-s)^2) r/(1+r)^2, largest at s = 1/2: 8 * 1/4 = 2
+_CUTOFF_SLOPE = 2.0
 
 
 def truncate_q(q: QMatrixSpec, K: int) -> QMatrixSpec:
-    """Fold ``q`` onto the finite regime space {1, ..., K + kappa + 1}.
+    """Fold ``q`` onto the finite regime space {1, ..., K + kappa + 1} at an
+    integer level ``K >= 1`` (5.0 and ``np.int64(5)`` read as 5).
 
-    Rates are scaled by the smooth radial cutoff (1 inside |x| <= K, 0 outside
-    |x| >= K+1). Rows ``i <= K + kappa`` keep their in-range rates and send
-    any out-of-range mass to the boundary regime ``K + kappa + 1``; the
-    boundary row gets a constant unit rate (plus the scaled original rate)
-    back to each of ``K+1 .. K+kappa`` so the folded matrix stays irreducible.
-    The result is conservative and coincides with ``q`` on {1..K} wherever
-    |x| <= K.
+    Rates are scaled by the smooth radial cutoff ``_radial_cutoff`` (1 inside
+    |x| <= K, 0 outside |x| >= K+1). Rows ``i <= K + kappa`` keep their
+    in-range rates and send any out-of-range mass to the boundary regime
+    ``K + kappa + 1``; the boundary row gets a constant unit rate (plus the
+    scaled original rate) back to each of ``K+1 .. K+kappa`` so the folded
+    matrix stays irreducible. The result is conservative and coincides with
+    ``q`` on {1..K} wherever |x| <= K. It certifies ``lipschitz_cq = kappa *
+    c_q + 2 * env``, ``env`` the row-sum envelope where the cutoff moves.
     """
     if not (isinstance(K, numbers.Real) and float(K).is_integer() and K >= 1):
         raise ValueError(f"K must be an integer >= 1, got {K!r}")
@@ -368,16 +372,18 @@ def truncate_q(q: QMatrixSpec, K: int) -> QMatrixSpec:
         for jj in range(j, (i + kappa if j == n_out else j) + 1):
             if base_n is None or max(i, jj) <= base_n:
                 s += base_rate(x, i, jj)
-        s *= float(smooth_cutoff(np.linalg.norm(as_point(x)), K))
+        s *= float(_radial_cutoff(as_point(x), K))
         return 1.0 + s if i == n_out else s
 
-    # metadata propagation: the boundary row adds kappa unit rates, and the
-    # cutoff adds (slope * local rate level) to the Lipschitz constant
+    # metadata propagation: the boundary row adds kappa unit rates. A folded
+    # entry sums up to kappa base rates (row n_out - 1 folds n_out ..
+    # n_out - 1 + kappa into n_out), and the cutoff adds its slope times the
+    # entry, at most the row sum env on the cutoff's support |x| <= K + 1
     env = q.linear_bound_alpha * n_out + q.linear_bound_beta * (K + 1)
     return QMatrixSpec(
         rate=folded,
         kappa=kappa,
-        lipschitz_cq=q.lipschitz_cq + _CUTOFF_SLOPE * env,
+        lipschitz_cq=kappa * q.lipschitz_cq + _CUTOFF_SLOPE * env,
         linear_bound_alpha=q.linear_bound_alpha + kappa,
         linear_bound_beta=q.linear_bound_beta,
         state_independent=False,

@@ -6,10 +6,13 @@ line (run pytest with ``-s`` to see them live). The determinism criterion
 regenerates every report with a different thread count and compares bytes.
 """
 
+import hashlib
 import json
 import math
+import re
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,6 +411,24 @@ def test_strong_feller_dichotomy(artifacts):
 def test_first_jump_identity(artifacts):
     p = artifacts["payloads"]["first_jump"]
     assert announce("first-switch decomposition identity (20 cases)", p["ok"])
+
+
+def test_report_hashes_match_the_latest_bench(artifacts):
+    # the reports' sha256 as pinned in the criteria block of the
+    # highest-numbered BENCH_<n>.json (scripts/report_hashes.py --expect)
+    root = Path(__file__).resolve().parent.parent
+    numbered = {int(m[1]): p for p in root.glob("BENCH_*.json")
+                if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))}
+    bench = numbered[max(numbered)]
+    expected = {c["criterion"]: c["sha256"]
+                for c in json.loads(bench.read_text())["criteria"]}
+    got = {name: hashlib.sha256(
+               (artifacts["dir"] / f"{name}.jsonl").read_bytes()).hexdigest()
+           for name, _ in CRITERIA}
+    differ = sorted(n for n in {**got, **expected}
+                    if got.get(n) != expected.get(n))
+    assert announce(f"report sha256 as in {bench.name}", not differ,
+                    f"differ={differ}")
 
 
 def test_determinism_across_thread_counts(artifacts, tmp_path_factory):

@@ -568,6 +568,31 @@ def test_bad_task_value_is_a_config_error(tmp_path, capsys, name):
     assert_config_error(tmp_path, capsys, sub, task, named)
 
 
+def test_integral_float_start_runs_as_its_regime(tmp_path):
+    # the config hash differs, since the two configs differ as JSON
+    runs = {}
+    for start in (1, 1.0):
+        sub = tmp_path / repr(start)
+        sub.mkdir()
+        code, records = small_run(sub, "chain-marginal",
+                                  {"times": [0.5], "starts": [start]})
+        assert code == 0
+        runs[start] = [{k: v for k, v in r.items() if k != "config_hash"}
+                       for r in records]
+    assert runs[1.0] == runs[1]
+
+
+def test_unknown_observable_key_exits_before_the_run(tmp_path, capsys,
+                                                     monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("feller_modulus ran")
+    monkeypatch.setattr(est, "feller_modulus", never)
+    for f in ({"name": "gauss", "scael": 3.0}, {"name": "one", "scale": 2.0},
+              {"name": "indicator_x1", "center": [0.0]}):
+        assert_config_error(tmp_path, capsys, "feller",
+                            {"radii": [0.1], "f": f}, f"task.f ({f['name']})")
+
+
 def test_failed_summary_exits_one(tmp_path):
     # at this seed every entry lies within 3 se, yet no fraction reaches a
     # bar above 1

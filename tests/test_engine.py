@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import signal
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 import switchsde as s
-from switchsde import engine
+from switchsde import engine, qmatrix
 from switchsde.engine import (euler_step, first_switch_times, regime_groups,
                               run_chain, run_event_driven, run_frozen)
 from switchsde.noise import LANE_EULER, LANE_JUMP, NoiseStream
@@ -379,6 +381,49 @@ def test_truncated_identical_when_level_huge(ou_model):
     full = s.simulate_path(ou_model, [0.1], 1, cfg(T=1.0, K=60))
     trunc = s.simulate_truncated(ou_model, [0.1], 1, 60, cfg(T=1.0))
     assert np.array_equal(full.x, trunc.x)
+
+
+def test_truncated_model_and_fold_read_one_cutoff(monkeypatch):
+    # a stand-in cutoff of 1/4 everywhere reaches the drift, the diffusion
+    # and the folded rates alike, and engine keeps no cutoff of its own
+    def quarter(x, K):
+        return np.full(np.shape(x)[:-1], 0.25)[()]
+
+    monkeypatch.setattr(qmatrix, "_radial_cutoff", quarter)
+    monkeypatch.setattr(engine, "_radial_cutoff", quarter)
+    assert not hasattr(engine, "smooth_cutoff")
+    m = s.zoo("switching_ou", dim=2)
+    tm = engine.truncated_model(m, 5)
+    x, X = np.array([0.3, -0.2]), np.array([[0.3, -0.2], [1.0, 0.5]])
+    assert np.array_equal(tm.drift(0.0, x, 1), 0.25 * m.drift(0.0, x, 1))
+    assert np.array_equal(tm.drift(0.0, X, 2), 0.25 * m.drift(0.0, X, 2))
+    assert np.array_equal(tm.diffusion(0.0, x, 1),
+                          0.5 * np.asarray(m.diffusion(0.0, x, 1)))
+    assert tm.q.rate(x, 1, 2) == 0.25 * m.q.rate(x, 1, 2)
+
+
+def test_truncated_model_id_names_the_integer_level():
+    bd = s.zoo("birth_death_switch")
+    ids = {engine.truncated_model(bd, K).model_id
+           for K in (5.0, 5, np.int64(5))}
+    assert ids == {"birth_death_switch(d=1)|trunc5"}
+
+
+def test_truncated_model_keeps_every_other_field(ou_model):
+    @dataclasses.dataclass(frozen=True)
+    class Tagged(s.ModelSpec):
+        tag: str = "plain"
+
+    fields = {f.name: getattr(ou_model, f.name)
+              for f in dataclasses.fields(ou_model)}
+    m = Tagged(**fields, tag="kept")
+    tm = engine.truncated_model(m, 4)
+    assert m.linear_coeffs is not None and tm.linear_coeffs is None
+    assert tm.q.n_regimes == 4 + m.q.kappa + 1
+    replaced = {"drift", "diffusion", "q", "linear_coeffs", "model_id"}
+    for f in dataclasses.fields(m):
+        if f.name not in replaced:
+            assert getattr(tm, f.name) is getattr(m, f.name), f.name
 
 
 # --- batch/single consistency ----------------------------------------------------
@@ -1054,6 +1099,53 @@ def test_sim_config_validation():
     assert s.SimConfig(horizon=1.0, dt=0.1, truncation=2.5).truncation == 2.5
 
 
+def _within(seconds, fn):
+    """``fn()``, failed by an alarm after ``seconds`` instead of hanging."""
+    def stop(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        return fn()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("T, dt, named", [
+    (math.inf, 0.1, "horizon"), (math.nan, 0.1, "horizon"),
+    (-1.0, 0.1, "horizon"), (1.0, 0.0, "dt"), (1.0, math.nan, "dt")])
+@pytest.mark.parametrize("runner", [run_frozen, run_event_driven])
+def test_runners_refuse_a_bad_horizon(runner, T, dt, named):
+    reps = np.arange(3, dtype=np.uint64)
+    with pytest.raises(ValueError, match=rf"{named} must be"):
+        _within(5, lambda: runner(s.zoo("switching_ou"), [0.0], 1, T, dt,
+                                  NoiseStream(1), reps))
+
+
+@pytest.mark.parametrize("T", [math.inf, math.nan, -1.0])
+def test_run_chain_refuses_a_bad_horizon(T):
+    q = s.zoo("switching_ou").q
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        _within(5, lambda: run_chain(q, 1, T, NoiseStream(1),
+                                     np.arange(3, dtype=np.uint64)))
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        _within(5, lambda: s.chain_marginal_check(
+            s.zoo("switching_ou"), [T], 100,
+            cfg(scheme=s.EVENT_DRIVEN)))
+
+
+def test_zero_horizon_returns_the_start():
+    reps = np.arange(3, dtype=np.uint64)
+    for runner in (run_frozen, run_event_driven):
+        out = runner(s.zoo("switching_ou"), [0.5], 2, 0.0, 0.1,
+                     NoiseStream(1), reps)
+        assert (out["x"] == 0.5).all() and (out["regime"] == 2).all()
+    q = s.zoo("switching_ou").q
+    assert (run_chain(q, 2, 0.0, NoiseStream(1), reps)["regime"] == 2).all()
+
+
 def _overflowing_model(state_independent=False):
     return s.ModelSpec(dim=1,
                        drift=lambda t, x, i: 1e308 * np.asarray(x, float),
@@ -1106,3 +1198,11 @@ def test_nan_start_refused_before_truncation():
     with pytest.raises(ValueError, match="need"):
         s.simulate_truncated(s.zoo("birth_death_switch"), [math.nan], 1, 5,
                              cfg())
+
+
+def test_nan_start_level_is_named_not_finite():
+    with pytest.raises(ValueError, match=r"need \|x0\| \+ i0 < K, got a start "
+                                         "level nan that is not finite"):
+        engine.check_truncation_start([[0.0], [math.nan]], 1, 5)
+    with pytest.raises(ValueError, match=r"got 8\.0 >= 5"):
+        engine.check_truncation_start([7.0], 1, 5)

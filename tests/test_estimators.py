@@ -513,6 +513,25 @@ def test_chain_marginal_rejects_no_starts(ou_model):
         s.chain_marginal_check(ou_model, (0.5,), 100, ecfg(), starts=[])
 
 
+def test_chain_marginal_reads_starts_as_regimes(ou_model, monkeypatch):
+    one = s.chain_marginal_check(ou_model, (0.5,), 500, ecfg(), starts=[2])
+    same = s.chain_marginal_check(ou_model, (0.5,), 500, ecfg(), starts=[2.0])
+    assert same.records == one.records
+    # a start outside the space is refused before any run
+    monkeypatch.setattr(estimators, "run_chain", None)
+    with pytest.raises(ValueError, match="start regime 3 is outside"):
+        s.chain_marginal_check(ou_model, (0.5,), 500, ecfg(), starts=[1, 3.0])
+
+
+def test_checkers_refuse_a_negative_horizon(ou_model):
+    bd = s.zoo("birth_death_switch")
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        s.truncation_exit_bound_check(bd, [0.0], 1, 5, -1.0, 50, ecfg())
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        s.semigroup_estimate(ou_model, s.gauss_function(), -1.0, [0.0], 1,
+                             100, ecfg())
+
+
 def test_truncation_exit_bound(ou_model):
     bd = s.zoo("birth_death_switch")
     rep = s.truncation_exit_bound_check(bd, [0.2], 2, 8, 0.5, 10_000,

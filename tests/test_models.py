@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -249,13 +250,21 @@ def _nan_violations():
     }
 
 
-@pytest.mark.filterwarnings("ignore:invalid value")
 @pytest.mark.parametrize("case", sorted(_nan_violations()))
 def test_nan_violation_fails_its_condition(case):
     m, failed = _nan_violations()[case]
     rep = check_assumptions(m, quick_plan())
     assert rep.failed() == failed
     assert all(rep[name].max_violation == math.inf for name in failed)
+
+
+def test_infinite_certificate_fails_without_a_warning():
+    # inf - inf is NaN, which counts as an infinite violation
+    m, failed = _nan_violations()["C_i inf"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = check_assumptions(m, quick_plan())
+    assert rep.failed() == failed
 
 
 def test_checkers_refuse_a_nan_certificate():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import switchsde as s
+from switchsde import qmatrix
 from switchsde.qmatrix import smooth_cutoff
 
 
@@ -253,6 +254,37 @@ def test_smooth_cutoff_shape():
     vals = smooth_cutoff(grid, 3)
     assert np.all(np.diff(vals) <= 1e-12)
     assert 0.0 < smooth_cutoff(3.5, 3) < 1.0
+
+
+def test_cutoff_slope_is_the_closed_form_supremum():
+    # with f(u) = exp(-1/u) and r = f(s) / f(1-s) the cutoff's slope is
+    # (1/s^2 + 1/(1-s)^2) r / (1+r)^2, largest at s = 1/2
+    def slope(s):
+        r = np.exp(-1.0 / s + 1.0 / (1.0 - s))
+        return (1.0 / s**2 + 1.0 / (1.0 - s) ** 2) * r / (1.0 + r) ** 2
+
+    assert qmatrix._CUTOFF_SLOPE == slope(0.5) == 2.0
+    s_grid = np.linspace(0.01, 0.99, 9801)  # the slope is below 1e-30 beyond
+    assert slope(s_grid).max() <= 2.0 + 1e-12
+    assert (np.abs(np.diff(smooth_cutoff(s_grid, 0.0))).max()
+            <= 2.0 * (s_grid[1] - s_grid[0]))
+
+
+def test_truncate_certifies_rates_folded_from_kappa_targets():
+    # every in-band rate is 0.01 (1 + sin(100 x)): c_q = 1, and entry
+    # (4, 5) of the fold at K = 2 sums two of them, so its slope nears 2
+    def rate(x, i, j):
+        x1 = float(np.atleast_1d(x)[0])
+        return 0.01 * (1.0 + math.sin(100.0 * x1)) if abs(j - i) <= 2 else 0.0
+
+    q = s.QMatrixSpec(rate=rate, kappa=2, lipschitz_cq=1.0,
+                      linear_bound_alpha=0.08)
+    qk = s.truncate_q(q, 2)
+    xs = np.linspace(-3.5, 3.5, 7001)[:, None]
+    _, table = qk.row(xs, range(1, 6))
+    slopes = np.abs(np.diff(table, axis=0)).max() / (xs[1, 0] - xs[0, 0])
+    assert slopes > 1.99
+    assert slopes <= qk.lipschitz_cq
 
 
 def test_zero_layout_builds_each_row_once_under_threads():
