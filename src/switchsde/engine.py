@@ -220,17 +220,15 @@ class _Rows:
         self.lam_max = self.lam.astype(float)
         self.trunc_level = trunc_level
         self.track_xmax = track_xmax
-        xnorm = np.linalg.norm(self.X, axis=1)
-        self.xmax = xnorm.copy() if track_xmax else None
+        self.xmax = np.zeros(n) if track_xmax else None
         self.tau = np.full(n, np.inf)
-        if trunc_level is not None:
-            self.tau[xnorm + self.lam > trunc_level] = 0.0
         self.recording = record
         self._ids = np.arange(n)
         # chunks of (row, t, x, regime) and of (row, t, src, dst, mark)
         self._log: list[tuple] = []
         self._switches = [(self._ids[:0], np.empty(0), self.lam[:0],
                            self.lam[:0], np.empty(0))]
+        self.observe(self._ids, 0.0)
         self.log(self._ids, 0.0)
 
     def log(self, idx, t) -> None:
@@ -381,9 +379,10 @@ def first_switch_times(q: QMatrixSpec, i0, keys: np.ndarray) -> np.ndarray:
                           _regime_totals(q, lam))
 
 
-def run_chain(q: QMatrixSpec, i0: int, T: float, stream: NoiseStream,
+def run_chain(q: QMatrixSpec, i0, T: float, stream: NoiseStream,
               replicas: np.ndarray, t_marks=()) -> dict:
-    """Vectorized skeleton-only simulation of a state-independent chain.
+    """Vectorized skeleton-only simulation of a state-independent chain
+    started in ``i0`` (one regime, or one per replica).
 
     Returns the regimes at ``T`` and, per mark time (ascending, clamped to
     ``T``), the regime once the skeleton has run up to it (a switch at the
@@ -393,13 +392,13 @@ def run_chain(q: QMatrixSpec, i0: int, T: float, stream: NoiseStream,
     _check_horizon(T)
     n = len(replicas)
     keys = stream.replica_keys(replicas)
-    lam = np.full(n, int(i0), dtype=np.int64)
+    lam = _start_regimes(q, i0, n)
     jump_ctr = np.ones(n, dtype=np.uint64)
     stops = [min(float(tm), T) for tm in t_marks] + [T]
     if any(map(math.isnan, stops)):
         raise ValueError(f"mark times must be numbers, got {list(t_marks)}")
     lam_at = np.empty((len(stops), n), dtype=np.int64)
-    nxt = first_switch_times(q, i0, keys)
+    nxt = first_switch_times(q, lam, keys)
     for mi in sorted(range(len(stops)), key=stops.__getitem__):
         while (jr := np.flatnonzero(nxt <= stops[mi])).size:
             new, hold, _ = _skeleton_switch(q, keys, jump_ctr, lam, jr)
@@ -434,6 +433,11 @@ def run_event_driven(model: ModelSpec, x0, i0, T: float, dt: float,
     Segment normals sit on ``LANE_EULER`` at each row's substep counter
     (times ``d``, plus the coordinate); rows on one skeleton therefore share
     every draw, whether they step on the ``dt`` grid or switch to switch.
+
+    A row is observed (running maxima, ``tau_k``) at the end of each advance,
+    so a switching row is observed at its switch time in the old regime,
+    which its log does not hold, and again in the new one. ``run_frozen``
+    observes a switching row only in its new regime.
     """
     _check_horizon(T, dt)
     q, d = model.q, model.dim

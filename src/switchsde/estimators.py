@@ -26,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .engine import (EVENT_DRIVEN, FROZEN_RATE, DEFAULT_SEED, SimConfig,
-                     _start_regimes, check_truncation_start,
+                     _check_horizon, _start_regimes, check_truncation_start,
                      first_switch_times, recorded_path, regime_groups,
                      run_chain, run_event_driven, run_frozen, truncated_model)
 # not called here; perfbench/tracing.py patches these names in this module
@@ -123,6 +123,15 @@ def wilson_lower(successes: int, n: int) -> float:
 def _check_replicas(n: int) -> None:
     if n < 1:
         raise ValueError(f"need n >= 1 replicas, got n = {n}")
+
+
+def _check_times(name: str, times) -> None:
+    """A ValueError, before any sampling, when the grid ``times`` is empty or
+    one of its times fails ``engine._check_horizon``."""
+    if not len(times):
+        raise ValueError(f"{name} must not be empty")
+    for t in times:
+        _check_horizon(t)
 
 
 def _require(model: ModelSpec, T: float, *names: str) -> None:
@@ -290,6 +299,7 @@ def holding_time_check(model: ModelSpec, x, k: int, K: int,
     if k > K:
         raise ValueError(f"need k <= K, got k={k} > K={K}")
     _check_replicas(n)
+    _check_times("t_grid", t_grid)
     horizon = float(max(t_grid))
     _require(model, horizon, "band_structure", "rate_regime_linear")
     n_aborted = 0
@@ -336,8 +346,9 @@ def harnack_cost_values(model: ModelSpec, lam_T: np.ndarray, T: float,
 
 
 def _require_harnack_prerequisites(model: ModelSpec, horizons) -> None:
-    """Positive horizons, state-independent rates, and every
-    ``HARNACK_PREREQUISITES`` check on [0, T] for each horizon T."""
+    """Positive finite horizons (at least one), state-independent rates, and
+    every ``HARNACK_PREREQUISITES`` check on [0, T] for each horizon T."""
+    _check_times("T_choices", horizons)
     for T in horizons:
         if not T > 0:
             raise ValueError(f"the Harnack horizon must be positive, got T={T}")
@@ -476,8 +487,8 @@ def feller_modulus(model: ModelSpec, f: Callable, t: float, x, i: int,
 def gap_trend_pass(gaps: Sequence[GapEstimate]) -> bool:
     """Monotone-decrease trend at 3 sigma: ordered by radius, largest first,
     each gap below the previous one plus combined noise. A flagged gap fails
-    the trend."""
-    if any(g.flagged for g in gaps):
+    the trend, and so does an empty list, which verifies nothing."""
+    if not gaps or any(g.flagged for g in gaps):
         return False
     gaps = sorted(gaps, key=lambda g: g.radius, reverse=True)
     for prev, cur in zip(gaps, gaps[1:]):
@@ -494,8 +505,10 @@ def discontinuity_certificate(gaps: Sequence[GapEstimate],
     The certificate holds when the gap minus 3 sigma stays above ``floor``
     and the gap is not flagged: the semigroup provably fails to smooth
     bounded measurable data at this point, i.e. a strong-Feller
-    counterexample witness.
+    counterexample witness. An empty gap list is a ValueError.
     """
+    if not gaps:
+        raise ValueError("no gap to certify: the gap list is empty")
     smallest = min(gaps, key=lambda g: g.radius)
     lower = smallest.gap - 3.0 * smallest.stderr
     return {"radius": smallest.radius, "gap": smallest.gap,
@@ -530,6 +543,7 @@ def chain_marginal_check(model: ModelSpec, times: Sequence[float], n: int,
     distribution must sit within 3 binomial standard errors of the
     ``exp(t Q)`` value, computed once per spec and time (``q._oracles``).
     """
+    _check_times("times", times)
     q = model.q
     G = chain_generator_matrix(q)
     size = G.shape[0]
@@ -664,6 +678,8 @@ def displacement_lipschitz_sweep(n_cases: int = 1000, seed: int = DEFAULT_SEED,
     and compares the exact interval-sweep distance against the closed-form
     envelope.
     """
+    if not len(p_values):
+        raise ValueError("p_values must not be empty")
     rng = np.random.default_rng(seed)
     records = []
     for case in range(n_cases):

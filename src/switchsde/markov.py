@@ -36,9 +36,9 @@ def transition_matrix(generator, t: float) -> np.ndarray:
     """Stochastic matrix ``exp(t * Q)`` for a conservative generator ``Q``.
 
     Computed by ``scipy.linalg.expm`` (Al-Mohy & Higham scaling and
-    squaring), with rounding-level negative entries set to 0. Raises on
-    negative ``t``, on dimensions above ``DIM_CAP`` and on structurally
-    invalid generators.
+    squaring), with rounding-level negative entries set to 0. Raises on a
+    ``t`` that is negative or not finite, on dimensions above ``DIM_CAP`` and
+    on structurally invalid generators.
     """
     Q = np.asarray(generator, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
@@ -46,8 +46,8 @@ def transition_matrix(generator, t: float) -> np.ndarray:
     n = Q.shape[0]
     if n > DIM_CAP:
         raise ValueError(f"generator dimension {n} exceeds cap {DIM_CAP}")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
     if not np.all(np.isfinite(Q)):
         raise InvalidModelError("generator contains non-finite entries")
     off = Q - np.diag(np.diag(Q))

@@ -45,8 +45,7 @@ class UClassFn:
     ``phi(s) = integral_0^s u(r) dr`` is available in closed form when
     ``phi_closed`` is set, otherwise by adaptive quadrature. ``gamma``
     certifies the domination ``phi(s) <= gamma * s * u(s)^2`` (checked on a
-    sampled grid, like everything else here). ``u_prime_nonpositive`` records
-    whether ``u`` is nonincreasing, which the Harnack checker requires.
+    sampled grid, like everything else here).
 
     Membership in the admissible class also needs ``integral_0^1 ds/(s u(s))``
     to diverge; that is documented per entry and probed on a log grid by
@@ -56,7 +55,6 @@ class UClassFn:
     name: str
     u: Callable
     gamma: float
-    u_prime_nonpositive: bool
     phi_closed: Optional[Callable] = None
 
     def phi(self, s: float) -> float:
@@ -93,10 +91,9 @@ def _phi_log(s):
 
 
 U_CLASSES: dict[str, UClassFn] = {
-    "one": UClassFn("one", _u_one, gamma=1.0, u_prime_nonpositive=True,
+    "one": UClassFn("one", _u_one, gamma=1.0,
                     phi_closed=lambda s: np.asarray(s, dtype=float) * 1.0),
-    "log": UClassFn("log", _u_log, gamma=2.0, u_prime_nonpositive=True,
-                    phi_closed=_phi_log),
+    "log": UClassFn("log", _u_log, gamma=2.0, phi_closed=_phi_log),
 }
 
 
@@ -169,8 +166,6 @@ def apply_diffusion(sig, dw):
     ``sig``: scalar (meaning ``s * I``), ``(d, d)`` or ``(m, d, d)``;
     ``dw``: ``(d,)`` or ``(m, d)``. Returns the shape of ``dw``.
     """
-    if np.isscalar(sig):
-        return sig * dw
     sig = np.asarray(sig, dtype=float)
     if sig.ndim == 0:
         return float(sig) * dw
@@ -183,9 +178,9 @@ def apply_diffusion(sig, dw):
 
 def _sigma_stack(sig, m: int, d: int) -> np.ndarray:
     """Normalize a diffusion return value to an (m, d, d) stack."""
-    if np.isscalar(sig) or np.asarray(sig).ndim == 0:
-        return np.broadcast_to(float(sig) * np.eye(d), (m, d, d))
     sig = np.asarray(sig, dtype=float)
+    if sig.ndim == 0:
+        return np.broadcast_to(float(sig) * np.eye(d), (m, d, d))
     if sig.ndim == 2:
         return np.broadcast_to(sig, (m, d, d))
     return sig
@@ -405,8 +400,6 @@ def check_assumptions(m: ModelSpec, plan: SamplingPlan | None = None) -> Assumpt
     ug = np.asarray(ucls.u(grid), dtype=float)
     accs["modulus_nonincreasing"].update(
         np.diff(ug), 1e-12, lambda k: {"s": float(grid[k + 1]), "u": float(ug[k + 1])})
-    if not ucls.u_prime_nonpositive:
-        accs["modulus_nonincreasing"].update(1.0, 0.0, lambda k: {"flag": ucls.name})
     phig = np.array([ucls.phi(s) for s in grid])
     accs["gamma_domination"].update(
         phig, ucls.gamma * grid * ug ** 2,

@@ -70,11 +70,15 @@ def read_jsonl(path) -> list[dict]:
         return [json.loads(line) for line in fh if line.strip()]
 
 
-_PLOT_COLUMNS = {
-    "feller": ("radius", "gap", "stderr"),
-    "holding": ("t", "empirical", "bound", "pass"),
+# per checker family: the CSV header and a record's row under it
+_PLOT_TABLES = {
+    "feller": (("radius", "gap", "stderr"), lambda p, r: [
+        p.get("radius", r.get("lhs")), r.get("lhs"), r.get("stderr")]),
+    "holding": (("t", "empirical", "bound", "pass"), lambda p, r: [
+        p.get("t"), r.get("lhs"), r.get("rhs"), int(bool(r.get("pass")))]),
 }
-_GENERIC_COLUMNS = ("lhs", "rhs", "margin")
+_GENERIC_TABLE = (("lhs", "rhs", "margin"), lambda p, r: [
+    r.get("lhs"), r.get("rhs"), r.get("margin")])
 
 
 def emit_plot_data(records, path) -> None:
@@ -91,22 +95,9 @@ def emit_plot_data(records, path) -> None:
     if len(families) != 1:
         raise ValueError(f"mixed checker families {sorted(families)}; "
                          "emit one table per family")
-    family = families.pop()
+    header, row = _PLOT_TABLES.get(families.pop(), _GENERIC_TABLE)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        if family == "feller":
-            w.writerow(_PLOT_COLUMNS["feller"])
-            for r in records:
-                p = r.get("params", {})
-                w.writerow([p.get("radius", r.get("lhs")), r.get("lhs"),
-                            r.get("stderr")])
-        elif family == "holding":
-            w.writerow(_PLOT_COLUMNS["holding"])
-            for r in records:
-                p = r.get("params", {})
-                w.writerow([p.get("t"), r.get("lhs"), r.get("rhs"),
-                            int(bool(r.get("pass")))])
-        else:
-            w.writerow(_GENERIC_COLUMNS)
-            for r in records:
-                w.writerow([r.get("lhs"), r.get("rhs"), r.get("margin")])
+        w.writerow(header)
+        for r in records:
+            w.writerow(row(r.get("params", {}), r))

@@ -6,8 +6,13 @@ right-continuous: the value at an event time is the post-jump regime), the
 jump log, and the stopping-time markers:
 
 * ``eta``   -- first time the regime leaves its initial value (inf if never),
-* ``tau_k`` -- first sampled time with ``|X_t| + Lambda_t > K`` for the
-  configured truncation level (inf if never / not configured).
+* ``tau_k`` -- first observed time with ``|X_t| + Lambda_t > K`` for the
+  configured truncation level (inf if never / not configured). Both runners
+  observe every sample time; the event-driven runner also observes a
+  switching row just before its switch, in the old regime, a state the
+  sample list does not hold, so there ``tau_k`` may be a switch time at
+  which no sampled state exceeds K. The frozen-rate runner observes a
+  switching row only after its switch.
 
 Serialization formats (both documented here, both round-trip):
 

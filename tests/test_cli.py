@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import switchsde as s
-from switchsde import cli
+from switchsde import cli, reports
 from switchsde import estimators as est
 from switchsde.cli import run
 from switchsde.config import (TASK_KEYS, build_model, build_sim, config_hash,
@@ -216,6 +216,40 @@ def test_emit_plot_data_families(tmp_path):
 
     with pytest.raises(ValueError, match="mixed"):
         emit_plot_data(feller + holding, tmp_path / "x.csv")
+
+
+def test_plot_rows_per_family_bytes(tmp_path):
+    # each family's header and rows; a gap record without a radius falls
+    # back to its lhs, and the pass flag is written as 0 or 1
+    families = {
+        "feller": ([record("feller", "m", {"radius": 0.5}, 0.05, None, 0.01,
+                           None, True, "", 1),
+                    record("feller", "m", {}, 0.25, None, 0.02, None, False,
+                           "", 1)],
+                   b"radius,gap,stderr\r\n0.5,0.05,0.01\r\n0.25,0.25,0.02\r\n"),
+        "holding": ([record("holding", "m", {"t": 0.1}, 0.9, 0.5, 0.001, 0.4,
+                            True, "", 1),
+                     record("holding", "m", {"t": 0.2}, 0.4, 0.5, 0.001, -0.1,
+                            False, "", 1)],
+                    b"t,empirical,bound,pass\r\n0.1,0.9,0.5,1\r\n"
+                    b"0.2,0.4,0.5,0\r\n"),
+        "harnack": ([record("harnack", "m", {"t": 1}, -0.1, 0.2, 0.01, 0.3,
+                            True, "", 1)],
+                    b"lhs,rhs,margin\r\n-0.1,0.2,0.3\r\n"),
+    }
+    for family, (recs, want) in families.items():
+        emit_plot_data(recs, tmp_path / f"{family}.csv")
+        assert (tmp_path / f"{family}.csv").read_bytes() == want
+
+
+def test_one_plot_table_drives_the_writer(tmp_path, monkeypatch):
+    monkeypatch.setitem(reports._PLOT_TABLES, "probe", (
+        ("w", "lhs"), lambda p, r: [p["w"], r["lhs"]]))
+    recs = [record("probe", "m", {"w": 2}, 0.5, 1.0, 0.1, 0.5, True, "", 1)]
+    emit_plot_data(recs, tmp_path / "p.csv")
+    assert (tmp_path / "p.csv").read_bytes() == b"w,lhs\r\n2,0.5\r\n"
+    with pytest.raises(ValueError, match="no records"):
+        emit_plot_data([], tmp_path / "e.csv")
 
 
 # --- CLI end to end ------------------------------------------------------------------

@@ -511,6 +511,71 @@ def test_chain_marks_as_barriers_equal_per_pass_marks():
         run_chain(q, 1, T, NoiseStream(19), reps, t_marks=(0.5, math.nan))
 
 
+def test_run_chain_takes_one_start_regime_per_row():
+    # a per-row start is, row by row and bit for bit, the run of one start
+    q = _rate_table_q(_banded_rates(5, 2, seed=12), kappa=2)
+    reps = np.arange(600, dtype=np.uint64)
+    i0 = np.random.default_rng(3).integers(1, 6, len(reps))
+    marks = (0.4, 1.1)
+    got = run_chain(q, i0, 2.0, NoiseStream(19), reps, t_marks=marks)
+    for k in range(1, 6):
+        rows = i0 == k
+        one = run_chain(q, k, 2.0, NoiseStream(19), reps, t_marks=marks)
+        assert _bits(got["regime"][rows]) == _bits(one["regime"][rows])
+        assert _bits(got["regime_at"][:, rows]) == _bits(one["regime_at"][:, rows])
+    with pytest.raises(ValueError, match="start regime 6 is outside"):
+        run_chain(q, np.full(len(reps), 6), 2.0, NoiseStream(19), reps)
+
+
+def test_rows_observe_the_start_through_observe(monkeypatch):
+    # the start is the first sample: ``observe`` folds it in at t = 0, and
+    # no second norm of the starts is taken
+    def no_norm(*args, **kw):
+        raise AssertionError("np.linalg.norm called")
+
+    seen = []
+    observe = engine._Rows.observe
+
+    def spy(self, idx, t):
+        seen.append((self._ids[idx].tolist(), t))
+        observe(self, idx, t)
+
+    monkeypatch.setattr(np.linalg, "norm", no_norm)
+    monkeypatch.setattr(engine._Rows, "observe", spy)
+    m = s.zoo("birth_death_switch", dim=2)
+    x0 = np.array([[0.6, 0.8], [3.0, 4.0], [0.0, 0.0]])
+    rows = engine._Rows(m, x0, np.array([1, 1, 5]), np.arange(3), 4.5,
+                        track_xmax=True, record=False)
+    assert seen == [([0, 1, 2], 0.0)]
+    assert rows.xmax.tolist() == [1.0, 5.0, 0.0]
+    assert rows.tau.tolist() == [math.inf, 0.0, 0.0]
+
+
+@pytest.mark.filterwarnings("ignore::switchsde.errors.StiffSwitchingWarning")
+def test_tau_k_is_observed_before_an_event_driven_switch():
+    # X_t = t; regime 2 leaves for regime 1 at rate 2 and K = 2.5, so only
+    # regime 2 crosses K, after t = 0.5. The event-driven runner observes a
+    # switching row just before its switch, in regime 2, a state its log does
+    # not hold; the frozen-rate runner observes it only in regime 1.
+    m = s.linear_switching_model(beta=(0, 0), a=(1, 1), s=(0, 0),
+                                 rates=[[0, 0], [2, 0]])
+    reps = np.arange(1000, dtype=np.uint64)
+    hidden = {}
+    for runner in (run_event_driven, run_frozen):
+        out = runner(m, [0.0], 2, 1.0, 0.1, NoiseStream(5), reps,
+                     trunc_level=2.5, record=True)
+        log = out["log"]
+        over = np.zeros(len(reps), dtype=bool)
+        np.logical_or.at(over, log["row"],
+                         np.abs(log["x"][:, 0]) + log["regime"] > 2.5)
+        rows = np.isfinite(out["tau_k"]) & ~over
+        hidden[runner] = rows.sum()
+        # a hidden crossing is the row's switch, between grid times 0.5, 0.6
+        assert np.array_equal(out["tau_k"][rows], out["eta"][rows])
+        assert ((out["tau_k"][rows] > 0.5) & (out["tau_k"][rows] < 0.6)).all()
+    assert hidden == {run_event_driven: 67, run_frozen: 0}
+
+
 def test_duplicate_replica_ids_share_randomness(ou_model):
     st = NoiseStream(31)
     reps = np.array([4, 4], dtype=np.uint64)

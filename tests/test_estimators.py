@@ -330,6 +330,13 @@ def test_feller_verdicts_fail_on_aborted_replicas():
     assert not s.discontinuity_certificate(gaps, floor=-1.0)["certified"]
 
 
+def test_feller_verdicts_on_an_empty_gap_list():
+    # no gap verifies no trend, and there is no smallest radius to certify
+    assert not s.gap_trend_pass([])
+    with pytest.raises(ValueError, match="the gap list is empty"):
+        s.discontinuity_certificate([])
+
+
 def test_feller_crn_pairing_reduces_variance(ou_model):
     f = lambda X, lam: np.tanh(X[:, 0])
     gaps = s.feller_modulus(ou_model, f, 0.5, [0.0], 1, [0.01], 4000,
@@ -586,3 +593,47 @@ def test_displacement_sweep_records():
     assert len(recs) == 50
     assert all(r["passed"] for r in recs)
     assert {r["p"] for r in recs} == {1.0, 2.0}
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_chain_oracle_keeps_no_matrix_for_a_bad_time(t):
+    m = s.zoo("switching_ou")
+    s.chain_marginal_check(m, [0.5], 200, ecfg())
+    before = dict(m.q._oracles)
+    for times in ([t], [0.5, t], [1.0, t]):
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            s.chain_marginal_check(m, times, 200, ecfg())
+    assert m.q._oracles.keys() == before.keys()
+
+
+def _holding(m, t_grid):
+    return s.holding_time_check(m, [0.0], 1, 3, t_grid, 200, ecfg())
+
+
+def _harnack(m, T_choices):
+    return s.harnack_sweep(m, 2, 100, ecfg(), T_choices=T_choices)
+
+
+BAD_GRIDS = {
+    "holding-empty": (_holding, [], "t_grid must not be empty"),
+    "holding-nan": (_holding, [0.5, math.nan],
+                    "horizon must be nonnegative and finite, got nan"),
+    "holding-negative": (_holding, [-1.0],
+                         "horizon must be nonnegative and finite, got -1"),
+    "chain-empty": (lambda m, g: s.chain_marginal_check(m, g, 200, ecfg()),
+                    [], "times must not be empty"),
+    "harnack-empty": (_harnack, (), "T_choices must not be empty"),
+    "harnack-inf": (_harnack, (0.5, math.inf),
+                    "horizon must be nonnegative and finite"),
+    "lipschitz-empty": (lambda m, g: s.displacement_lipschitz_sweep(
+        5, p_values=g), (), "p_values must not be empty"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRIDS))
+def test_library_grids_are_checked_before_any_sampling(case):
+    call, grid, message = BAD_GRIDS[case]
+    m = s.zoo("switching_ou")  # fresh: it keeps no assumption report yet
+    with pytest.raises(ValueError, match=message):
+        call(m, grid)
+    assert m._reports == {}

@@ -137,3 +137,10 @@ def test_input_validation():
         s.transition_matrix(np.array([[0.0, -1.0], [1.0, -1.0]]), 1.0)
     with pytest.raises(s.InvalidModelError):
         s.transition_matrix(np.array([[-1.0, 2.0], [1.0, -1.0]]), 1.0)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_transition_matrix_refuses_a_time_that_is_not_finite(t):
+    # exp(t Q) at t = inf or NaN is all NaN, not a stochastic matrix
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        s.transition_matrix(two_state(), t)

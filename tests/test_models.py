@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import switchsde as s
-from switchsde.models import (_RADIUS, U_CLASSES, SamplingPlan, _ball_sample,
-                              check_assumptions)
+from switchsde.models import (_RADIUS, U_CLASSES, SamplingPlan, UClassFn,
+                              _ball_sample, _sigma_stack, check_assumptions)
 
 
 def quick_plan(**kw):
@@ -187,6 +188,35 @@ def test_apply_diffusion_shapes():
     dws = np.stack([dw, dw])
     out = s.apply_diffusion(stack, dws)
     assert np.allclose(out, [dw, 2 * dw])
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_scalar_diffusion_is_one_branch(d):
+    # an int, a float, a numpy scalar and a 0-d array all mean sig * I, with
+    # the doubles of float(sig) * dw
+    dw = np.random.default_rng(2).normal(size=(4, d))
+    for sig in (2, 0.3, np.float64(0.3), np.float32(0.3), np.array(0.3)):
+        want = float(sig) * dw
+        assert np.array_equal(s.apply_diffusion(sig, dw), want)
+        assert np.array_equal(s.apply_diffusion(sig, dw[0]), want[0])
+        stack = _sigma_stack(sig, 4, d)
+        assert stack.shape == (4, d, d)
+        assert np.array_equal(stack, np.broadcast_to(float(sig) * np.eye(d),
+                                                     (4, d, d)))
+
+
+def test_modulus_monotonicity_is_sampled_not_declared(monkeypatch):
+    # a class carries no monotonicity flag; an increasing u fails
+    # modulus_nonincreasing from its sampled log grid alone
+    assert [f.name for f in dataclasses.fields(UClassFn)] == [
+        "name", "u", "gamma", "phi_closed"]
+    rising = UClassFn("rising", lambda v: 1.0 + np.asarray(v, dtype=float),
+                      gamma=10.0)
+    monkeypatch.setitem(U_CLASSES, "rising", rising)
+    m = replace(s.zoo("switching_ou"), u_id="rising")
+    rep = check_assumptions(m, quick_plan())
+    assert not rep["modulus_nonincreasing"].passed
+    assert set(rep["modulus_nonincreasing"].witness) == {"s", "u"}
 
 
 def test_linear_switching_model_validates_lengths():
