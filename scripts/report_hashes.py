@@ -12,11 +12,8 @@ timings:
     PYTHONPATH=src python3 scripts/report_hashes.py
 
 With ``--expect BENCH_<n>.json`` each sha256 is compared with that file's
-``criteria`` block, and with a bare ``--expect`` with the highest-numbered
-``BENCH_<n>.json`` at the repository root (the file the acceptance suite's
-``test_report_hashes_match_the_latest_bench`` reads); every criterion that
-differs (or is missing from either side) is named on stderr and the exit
-status is 1.
+``criteria`` block; every criterion that differs (or is missing from either
+side) is named on stderr and the exit status is 1.
 
 The full run takes under a minute on a 2-core machine; truncation and
 moments take most of it.
@@ -40,16 +37,13 @@ from switchsde import reports as rp  # noqa: E402
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--expect", metavar="BENCH_<n>.json", nargs="?",
-                        const="",
-                        help="compare the hashes with this file's criteria "
-                             "(default: the highest-numbered BENCH file)")
+    parser.add_argument("--expect", metavar="BENCH_<n>.json",
+                        help="compare the hashes with this file's criteria")
     args = parser.parse_args()
     expected = None
-    if args.expect is not None:
-        bench = Path(args.expect or acc.latest_bench())
-        expected = {c["criterion"]: c["sha256"]
-                    for c in json.loads(bench.read_text())["criteria"]}
+    if args.expect:
+        bench = json.loads(Path(args.expect).read_text())
+        expected = {c["criterion"]: c["sha256"] for c in bench["criteria"]}
     got = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, fn in acc.CRITERIA:
@@ -65,9 +59,9 @@ def main():
     differ = [name for name in {**got, **expected}
               if got.get(name) != expected.get(name)]
     if differ:
-        print(f"differ from {bench.name}: {', '.join(differ)}", file=sys.stderr)
+        print(f"differ from {args.expect}: {', '.join(differ)}", file=sys.stderr)
         return 1
-    print(f"all {len(got)} match {bench.name}", file=sys.stderr)
+    print(f"all {len(got)} match {args.expect}", file=sys.stderr)
     return 0
 
 

@@ -59,7 +59,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NumericalBlowupError, StiffSwitchingWarning
+from .errors import (NumericalBlowupError, StiffSwitchingWarning,
+                     _check_horizon)
 from .models import ModelSpec, apply_diffusion, _sigma_stack
 from .noise import (LANE_EULER, LANE_JUMP, NoiseStream, keyed_exponential,
                     keyed_normal, keyed_uniform)
@@ -72,15 +73,6 @@ DEFAULT_SEED = 123456789
 FROZEN_RATE = "frozen_rate"
 EVENT_DRIVEN = "event_driven_exact"
 SCHEMES = (FROZEN_RATE, EVENT_DRIVEN)
-
-
-def _check_horizon(T: float, dt: Optional[float] = None) -> None:
-    """A ValueError unless the horizon ``T`` is finite and >= 0 and the step
-    ``dt``, when given, finite and > 0; a runner checks them before any work."""
-    if dt is not None and not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not (math.isfinite(T) and T >= 0):
-        raise ValueError(f"horizon must be nonnegative and finite, got {T}")
 
 
 def step_count(T: float, dt: float) -> int:

@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types, and the one check of a horizon, shared across the package."""
 
 from __future__ import annotations
+
+import math
+from typing import Optional
 
 import numpy as np
 
@@ -40,3 +43,13 @@ class ConfigError(ValueError):
 
 class StiffSwitchingWarning(UserWarning):
     """dt * (switching intensity) exceeded the single-jump-per-step budget."""
+
+
+def _check_horizon(T: float, dt: Optional[float] = None) -> None:
+    """A ValueError unless the horizon ``T`` is finite and >= 0 and the step
+    ``dt``, when given, finite and > 0; a runner checks them before any work,
+    and ``markov.transition_matrix`` checks its ``t``."""
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"horizon must be nonnegative and finite, got {T}")

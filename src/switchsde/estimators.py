@@ -26,12 +26,13 @@ import numpy as np
 from scipy.integrate import quad
 
 from .engine import (EVENT_DRIVEN, FROZEN_RATE, DEFAULT_SEED, SimConfig,
-                     _check_horizon, _start_regimes, check_truncation_start,
+                     _start_regimes, check_truncation_start,
                      first_switch_times, recorded_path, regime_groups,
                      run_chain, run_event_driven, run_frozen, truncated_model)
 # not called here; perfbench/tracing.py patches these names in this module
 from .engine import simulate_path, simulate_truncated  # noqa: F401
-from .errors import InvalidModelError, UnsupportedSchemeError
+from .errors import (InvalidModelError, UnsupportedSchemeError,
+                     _check_horizon)
 from .markov import chain_generator_matrix, transition_matrix
 from .models import (HARNACK_PREREQUISITES, ModelSpec, SamplingPlan,
                      check_assumptions)
@@ -127,7 +128,7 @@ def _check_replicas(n: int) -> None:
 
 def _check_times(name: str, times) -> None:
     """A ValueError, before any sampling, when the grid ``times`` is empty or
-    one of its times fails ``engine._check_horizon``."""
+    one of its times fails ``errors._check_horizon``."""
     if not len(times):
         raise ValueError(f"{name} must not be empty")
     for t in times:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import InvalidModelError
+from .errors import InvalidModelError, _check_horizon
 from .qmatrix import zero_layout
 
 DIM_CAP = 512
@@ -46,8 +46,7 @@ def transition_matrix(generator, t: float) -> np.ndarray:
     n = Q.shape[0]
     if n > DIM_CAP:
         raise ValueError(f"generator dimension {n} exceeds cap {DIM_CAP}")
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be nonnegative and finite, got {t}")
+    _check_horizon(t)
     if not np.all(np.isfinite(Q)):
         raise InvalidModelError("generator contains non-finite entries")
     off = Q - np.diag(np.diag(Q))

@@ -413,18 +413,13 @@ def test_first_jump_identity(artifacts):
     assert announce("first-switch decomposition identity (20 cases)", p["ok"])
 
 
-def latest_bench() -> Path:
-    """The highest-numbered ``BENCH_<n>.json`` at the repository root."""
-    root = Path(__file__).resolve().parent.parent
-    numbered = {int(m[1]): p for p in root.glob("BENCH_*.json")
-                if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))}
-    return numbered[max(numbered)]
-
-
 def test_report_hashes_match_the_latest_bench(artifacts):
     # the reports' sha256 as pinned in the criteria block of the
     # highest-numbered BENCH_<n>.json (scripts/report_hashes.py --expect)
-    bench = latest_bench()
+    root = Path(__file__).resolve().parent.parent
+    numbered = {int(m[1]): p for p in root.glob("BENCH_*.json")
+                if (m := re.fullmatch(r"BENCH_(\d+)\.json", p.name))}
+    bench = numbered[max(numbered)]
     expected = {c["criterion"]: c["sha256"]
                 for c in json.loads(bench.read_text())["criteria"]}
     got = {name: hashlib.sha256(
