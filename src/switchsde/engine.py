@@ -317,8 +317,9 @@ def _switch_targets(q: QMatrixSpec, lam, U, X=None):
     or no positions ``X`` are given (the skeletons, which so refuse
     state-dependent rates), else per regime group at ``X``."""
     if X is None or q.state_independent:
-        total, start, right, dests = zero_rows(q, lam).cols
-        v = U * total[lam]
+        table, totals = zero_rows(q, lam)
+        _, start, right, dests = table.cols
+        v = U * totals
         at = lam * dests.shape[1] + sum(col[lam] <= v for col in right)
         return dests.ravel()[at], start[lam] + v
     new, marks = np.empty_like(lam), np.empty(len(lam))
@@ -332,7 +333,7 @@ def _regime_totals(q: QMatrixSpec, lam, X=None):
     """Row sums ``q_k`` per replica in regime ``lam``, read as in
     ``_switch_targets`` but at ``X`` from row ``k`` alone (``total_rate``)."""
     if X is None or q.state_independent:
-        return zero_rows(q, lam).cols[0][lam]
+        return zero_rows(q, lam)[1]
     out = np.empty(len(lam))
     for k, rows in regime_groups(lam):
         out[rows] = q.total_rate(X[rows], k)
@@ -361,14 +362,19 @@ def _skeleton_switch(q: QMatrixSpec, keys, jump_ctr, lam, idx):
     return new, _holding_times(E, _regime_totals(q, new)), marks
 
 
-def first_switch_times(q: QMatrixSpec, i0, keys: np.ndarray) -> np.ndarray:
-    """First switching times ``E_0 / q_{i0}`` (jump-lane index 0) of the
-    replica ``keys`` started in ``i0`` (one regime, or one per key) under
-    state-independent rates: the first clock of ``run_chain`` and
-    ``run_event_driven``."""
-    lam = _start_regimes(q, i0, len(keys))
+def _first_clock(q: QMatrixSpec, lam, keys: np.ndarray) -> np.ndarray:
+    """First switching times ``E_0 / q_lam`` (jump-lane index 0) of the
+    replica ``keys`` in regimes ``lam``, already read by ``_start_regimes``:
+    the first clock of ``run_chain`` and ``run_event_driven``."""
     return _holding_times(keyed_exponential(keys, LANE_JUMP, np.uint64(0)),
                           _regime_totals(q, lam))
+
+
+def first_switch_times(q: QMatrixSpec, i0, keys: np.ndarray) -> np.ndarray:
+    """First switching times of the replica ``keys`` started in ``i0`` (one
+    regime, or one per key) under state-independent rates: ``_first_clock``
+    of the regimes ``_start_regimes`` reads."""
+    return _first_clock(q, _start_regimes(q, i0, len(keys)), keys)
 
 
 def run_chain(q: QMatrixSpec, i0, T: float, stream: NoiseStream,
@@ -390,7 +396,7 @@ def run_chain(q: QMatrixSpec, i0, T: float, stream: NoiseStream,
     if any(map(math.isnan, stops)):
         raise ValueError(f"mark times must be numbers, got {list(t_marks)}")
     lam_at = np.empty((len(stops), n), dtype=np.int64)
-    nxt = first_switch_times(q, lam, keys)
+    nxt = _first_clock(q, lam, keys)
     for mi in sorted(range(len(stops)), key=stops.__getitem__):
         while (jr := np.flatnonzero(nxt <= stops[mi])).size:
             new, hold, _ = _skeleton_switch(q, keys, jump_ctr, lam, jr)
@@ -440,7 +446,7 @@ def run_event_driven(model: ModelSpec, x0, i0, T: float, dt: float,
     lincoef = model.linear_coeffs
     sub_ctr = np.zeros(n, dtype=np.uint64)
     jump_ctr = np.ones(n, dtype=np.uint64)
-    next_jump = first_switch_times(q, lam, keys)
+    next_jump = _first_clock(q, lam, keys)
 
     comps = np.arange(d, dtype=np.uint64)
     ud = np.uint64(d)

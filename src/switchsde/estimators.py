@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .engine import (EVENT_DRIVEN, FROZEN_RATE, DEFAULT_SEED, SimConfig,
                      _start_regimes, check_truncation_start,
@@ -236,6 +235,8 @@ def second_moment_envelope(model: ModelSpec, x, i: int, T: float, *,
     certificate is used in its position-free form (beta = 0), which is the
     variant the truncation exit bound is stated with.
     """
+    from scipy.integrate import quad  # deferred: README, Cold start
+
     q = model.q
     integral_c, _ = quad(model.growth_c, 0.0, T, limit=200)
     beta_sq = 0.0 if drop_position_term else q.linear_bound_beta ** 2

@@ -9,7 +9,6 @@ oracle for the Monte Carlo chain marginals.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InvalidModelError, _check_horizon
 from .qmatrix import zero_layout
@@ -40,6 +39,8 @@ def transition_matrix(generator, t: float) -> np.ndarray:
     ``t`` that is negative or not finite, on dimensions above ``DIM_CAP`` and
     on structurally invalid generators.
     """
+    from scipy.linalg import expm  # deferred: README, Cold start
+
     Q = np.asarray(generator, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError(f"generator must be square, got shape {Q.shape}")

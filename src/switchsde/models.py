@@ -27,7 +27,6 @@ from types import MappingProxyType
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidModelError
 from .qmatrix import QMatrixSpec
@@ -65,6 +64,8 @@ class UClassFn:
     def phi_quadrature(self, s: float) -> float:
         if s <= 0:
             return 0.0
+        from scipy.integrate import quad  # deferred: README, Cold start
+
         val, _ = quad(lambda r: float(self.u(r)), 0.0, s, limit=200)
         return val
 
@@ -100,6 +101,8 @@ U_CLASSES: dict[str, UClassFn] = {
 def reciprocal_mass(u: Callable, eps: float) -> float:
     """``integral_eps^1 ds / (s u(s))`` -- grows without bound iff the
     modulus is in the admissible class. Probe on a decreasing eps grid."""
+    from scipy.integrate import quad  # deferred: README, Cold start
+
     val, _ = quad(lambda s: 1.0 / (s * float(u(s))), eps, 1.0, limit=200)
     return val
 
@@ -186,8 +189,12 @@ def _sigma_stack(sig, m: int, d: int) -> np.ndarray:
     return sig
 
 
-def _fro_sq(sig_stack: np.ndarray) -> np.ndarray:
-    return np.einsum("mij,mij->m", sig_stack, sig_stack)
+def _fro_sq(sig, d: int):
+    """``||sigma||_F^2`` of a diffusion value: ``d s^2`` for a scalar ``s``
+    (meaning ``s * I``), one per matrix of a ``(m, d, d)`` stack."""
+    if sig.ndim == 0:
+        return d * float(sig * sig)
+    return np.einsum("mij,mij->m", sig, sig)
 
 
 # --- sampled assumption checking --------------------------------------------
@@ -305,6 +312,11 @@ def check_assumptions(m: ModelSpec, plan: SamplingPlan | None = None) -> Assumpt
     * ``bounded_at_origin``     -- |b(t,0,i)| + ||sigma(t,0,i)|| finite/bounded
     * ``dissipativity_uniform_in_regime`` -- 0 < inf C_i(t) <= sup < inf
     * ``gamma_domination``      -- phi(s) <= gamma s u(s)^2 on a log grid
+
+    A diffusion that returns scalars ``s`` at both ``X`` and ``Y`` is
+    checked as ``s * I`` in O(n d): squared Frobenius norm ``d s^2`` and
+    smallest singular value ``|s|``. Any matrix return puts both sides on
+    ``(n, d, d)`` stacks and a batched SVD.
     """
     plan = plan or SamplingPlan()
     if plan in m._reports:
@@ -352,7 +364,9 @@ def check_assumptions(m: ModelSpec, plan: SamplingPlan | None = None) -> Assumpt
             lambda k, i=i: {"x": Xr[k].tolist(), "i": i, "q_i": float(qi[k])})
 
     # -- coefficient conditions (vectorized over the big sample) --
-    dist = np.linalg.norm(X - Y, axis=1)
+    dxy = X - Y
+    dist = np.linalg.norm(dxy, axis=1)
+    envelope = 1.0 + np.sum(X**2, axis=1)
     s_sq = dist ** 2
     u_s = np.asarray(ucls.u(np.maximum(s_sq, 1e-300)), dtype=float)
     ut_s = np.asarray(utilde.u(np.maximum(dist, 1e-300)), dtype=float)
@@ -363,34 +377,38 @@ def check_assumptions(m: ModelSpec, plan: SamplingPlan | None = None) -> Assumpt
         for i in regimes:
             bx = np.asarray(m.drift(t, X, i), dtype=float)
             by = np.asarray(m.drift(t, Y, i), dtype=float)
-            sx = _sigma_stack(m.diffusion(t, X, i), n, d)
-            sy = _sigma_stack(m.diffusion(t, Y, i), n, d)
+            sx = np.asarray(m.diffusion(t, X, i), dtype=float)
+            sy = np.asarray(m.diffusion(t, Y, i), dtype=float)
+            if sx.ndim == sy.ndim == 0:
+                sv_min = abs(float(sx))  # s * I has every singular value |s|
+            else:
+                sx, sy = _sigma_stack(sx, n, d), _sigma_stack(sy, n, d)
+                sv_min = float(np.min(np.linalg.svd(sx, compute_uv=False)[:, -1]))
+            fro_dxy = _fro_sq(sx - sy, d)
             wit = lambda k, t=t, i=i: {"t": t, "x": X[k].tolist(),
                                        "y": Y[k].tolist(), "i": i}
             accs["coefficient_growth"].update(
-                np.einsum("md,md->m", X, bx), ct * (1.0 + np.sum(X**2, axis=1)), wit)
-            accs["coefficient_growth"].update(
-                _fro_sq(sx), ct * (1.0 + np.sum(X**2, axis=1)), wit)
+                np.einsum("md,md->m", X, bx), ct * envelope, wit)
+            accs["coefficient_growth"].update(_fro_sq(sx, d), ct * envelope, wit)
             ci = float(m.dissipativity_c(t, i))
-            lhs = (np.einsum("md,md->m", X - Y, bx - by)
-                   + 0.5 * _fro_sq(sx - sy))
+            lhs = np.einsum("md,md->m", dxy, bx - by) + 0.5 * fro_dxy
             accs["one_sided_dissipativity"].update(lhs, ci * s_sq * u_s, wit)
             cti = float(m.diffusion_mod_c(t, i))
             accs["diffusion_modulus"].update(
-                _fro_sq(sx - sy), cti * s_sq * ut_s ** 2, wit)
-            sv = np.linalg.svd(sx, compute_uv=False)[:, -1]
+                fro_dxy, cti * s_sq * ut_s ** 2, wit)
             # the floor must be positive and actually floor the singular values
             accs["uniform_ellipticity"].update(
                 [0.0 if lam_t > 0 else 1.0, lam_t],
-                [0.0, float(np.min(sv))],
+                [0.0, sv_min],
                 lambda k, t=t, i=i, lam_t=lam_t: {"t": t, "i": i,
                                                   "lambda_t": lam_t})
             accs["dissipativity_uniform_in_regime"].update(
                 [1e-300, ci], [ci, np.inf],
                 lambda k, t=t, i=i: {"t": t, "i": i, "C_i": ci})
             b0 = np.asarray(m.drift(t, np.zeros(d), i), dtype=float)
-            s0 = _sigma_stack(m.diffusion(t, np.zeros(d), i), 1, d)
-            origin = float(np.linalg.norm(b0) + np.sqrt(_fro_sq(s0)[0]))
+            s0 = np.asarray(m.diffusion(t, np.zeros(d), i), dtype=float)
+            fro0 = _fro_sq(s0 if s0.ndim == 0 else _sigma_stack(s0, 1, d), d)
+            origin = float(np.linalg.norm(b0) + np.sqrt(np.sum(fro0)))
             accs["bounded_at_origin"].update(
                 0.0 if math.isfinite(origin) else np.inf, 0.0,
                 lambda k, t=t, i=i, v=origin: {"t": t, "i": i, "value": v})

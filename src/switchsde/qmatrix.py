@@ -268,13 +268,18 @@ def zero_layout(q: QMatrixSpec, k: int) -> RowLayout:
         return slot[0].layouts[k]
 
 
-def zero_rows(q: QMatrixSpec, lam) -> ZeroRows:
-    """The spec's ``ZeroRows``, missing rows of ``lam`` built in ascending order."""
-    total = q._zero_rows[0].cols[0]
-    if len(lam) and (lam.max() >= len(total) or np.isnan(total[lam]).any()):
+def zero_rows(q: QMatrixSpec, lam) -> tuple:
+    """The spec's ``ZeroRows`` and the row sums ``q_k`` of regimes ``lam``,
+    gathered once; missing rows of ``lam`` are built first, in ascending order."""
+    table = q._zero_rows[0]
+    total = table.cols[0]
+    totals = total[lam] if not len(lam) or lam.max() < len(total) else None
+    if totals is None or np.isnan(totals).any():
         for k in np.unique(lam).tolist():
             zero_layout(q, k)
-    return q._zero_rows[0]
+        table = q._zero_rows[0]
+        totals = table.cols[0][lam]
+    return table, totals
 
 
 def displacement_lp_distance(q: QMatrixSpec, x, y, i: int, p: float) -> float:

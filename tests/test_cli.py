@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -721,3 +724,42 @@ def test_non_finite_start_is_a_config_error(tmp_path, capsys, sub, task):
     err = capsys.readouterr().err
     assert "config error" in err
     assert "is not finite" in err or "need |x0| + i0 < K" in err
+
+
+# --- cold start -------------------------------------------------------------------
+
+_COLD_START = """
+import json, sys
+import switchsde, switchsde.cli
+from switchsde.estimators import second_moment_envelope
+heavy = ("scipy.integrate", "scipy.optimize", "scipy.linalg")
+out = {"at_import": [m for m in heavy if m in sys.modules]}
+out["envelope"] = second_moment_envelope(switchsde.zoo("switching_ou"),
+                                         0.5, 1, 1.0)
+q = switchsde.zoo("switching_ou", rates=[[0, 1, 0], [2, 0, 1], [0, 3, 0]],
+                  beta=(1, 2, 3), a=(0, 0, 0), s=(1, 1, 1)).q
+out["P"] = switchsde.transition_matrix(switchsde.chain_generator_matrix(q),
+                                       0.5).tolist()
+out["after_calls"] = [m for m in heavy if m in sys.modules]
+print(json.dumps(out))
+"""
+
+
+def test_import_leaves_heavy_scipy_to_its_callers():
+    # scipy.integrate (which loads optimize) and scipy.linalg are imported by
+    # the functions that call them, so a fresh process that imports the
+    # package and the CLI has neither; the calls load them and their values
+    # are those of module-level imports
+    env = {**os.environ, "PYTHONPATH": str(Path(s.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _COLD_START], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    out = json.loads(proc.stdout)
+    assert out["at_import"] == []
+    assert out["after_calls"] == ["scipy.integrate", "scipy.optimize",
+                                  "scipy.linalg"]
+    assert out["envelope"] == 2.701897935018367e+28
+    assert out["P"] == [
+        [0.7280988136320741, 0.227742093321573, 0.044159093046352925],
+        [0.45548418664314577, 0.4050919061279872, 0.13942390722886702],
+        [0.2649545582781176, 0.4182717216866012, 0.31677372003528126]]

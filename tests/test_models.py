@@ -2,6 +2,8 @@ import dataclasses
 import math
 import sys
 import threading
+import time
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import switchsde as s
+from switchsde import models
 from switchsde.models import (_RADIUS, U_CLASSES, SamplingPlan, UClassFn,
                               _ball_sample, _sigma_stack, check_assumptions)
 
@@ -203,6 +206,51 @@ def test_scalar_diffusion_is_one_branch(d):
         assert stack.shape == (4, d, d)
         assert np.array_equal(stack, np.broadcast_to(float(sig) * np.eye(d),
                                                      (4, d, d)))
+
+
+@pytest.mark.parametrize("d", [1, 3, 16])
+@pytest.mark.parametrize("name", ["switching_ou", "birth_death_switch",
+                                  "degenerate_regime"])
+def test_scalar_diffusion_is_checked_as_the_scalar(name, d):
+    # a scalar s is checked as d s^2 and |s|; its twin returns the matrix
+    # s * I and so takes the (n, d, d) stack and the batched SVD
+    m = s.zoo(name, dim=d)
+    twin = replace(m, diffusion=lambda t, x, i: m.diffusion(t, x, i) * np.eye(d))
+    rep, ref = check_assumptions(m, quick_plan()), check_assumptions(twin, quick_plan())
+    for cond, want in ref.results.items():
+        got = rep[cond]
+        assert (got.passed, got.samples, got.witness) == (
+            want.passed, want.samples, want.witness), cond
+        if d == 1:
+            assert got.max_violation == want.max_violation, cond
+        else:
+            assert got.max_violation == pytest.approx(want.max_violation,
+                                                      rel=1e-12, abs=0), cond
+    degenerate = name == "degenerate_regime"
+    assert (not rep["uniform_ellipticity"].passed) == degenerate
+    assert (not ref["uniform_ellipticity"].passed) == degenerate
+
+
+def test_scalar_check_builds_no_stack_at_high_dimension(monkeypatch):
+    # at d = 256 one (n, d, d) stack of the default plan is 5.2 GB
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scalar diffusion reached the stack path")
+
+    monkeypatch.setattr(models, "_sigma_stack", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    d, plan = 256, SamplingPlan()
+    m = s.zoo("switching_ou", dim=d)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        rep = check_assumptions(m, plan)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.failed() == []
+    assert peak < plan.n_pairs * d * d * 8 / 16
+    assert elapsed < 1.0
 
 
 def test_modulus_monotonicity_is_sampled_not_declared(monkeypatch):
