@@ -25,7 +25,7 @@ the uniform and exponentials are ``-log`` of it.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtri  # called by every diffusion run: README, Cold start
 
 LANE_EULER = 0
 LANE_JUMP = 1
