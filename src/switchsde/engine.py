@@ -46,7 +46,10 @@ seed and replica id reproduce a path bit-for-bit regardless of batch size,
 thread layout or which other replicas run. Two runs of one replica consume
 the same stream, and within one step the draws have fixed purposes (first
 sub-increment, clock, mark, post-switch sub-increment), so paths that branch
-differently stay aligned on the shared Brownian noise.
+differently stay aligned on the shared Brownian noise. Since an address is
+known before its step runs, ``run_frozen`` draws the clocks and first
+sub-increments of a block of steps in one call each, with the same bits as
+one call per step.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ import numpy as np
 
 from .errors import (NumericalBlowupError, StiffSwitchingWarning,
                      _check_horizon)
-from .models import ModelSpec, apply_diffusion, _sigma_stack
+from .models import ModelSpec, apply_diffusion, _row_scalars, _sigma_stack
 from .noise import (LANE_EULER, LANE_JUMP, NoiseStream, keyed_exponential,
                     keyed_normal, keyed_uniform)
 from .qmatrix import (QMatrixSpec, _radial_cutoff, as_point, row_layout,
@@ -73,6 +76,10 @@ DEFAULT_SEED = 123456789
 FROZEN_RATE = "frozen_rate"
 EVENT_DRIVEN = "event_driven_exact"
 SCHEMES = (FROZEN_RATE, EVENT_DRIVEN)
+
+# normals per block of steps that ``run_frozen`` draws ahead (256 KB): at n
+# rows in dimension d a block holds BLOCK_BUDGET // (n d) steps
+BLOCK_BUDGET = 1 << 15
 
 
 def step_count(T: float, dt: float) -> int:
@@ -431,6 +438,8 @@ def run_event_driven(model: ModelSpec, x0, i0, T: float, dt: float,
     Segment normals sit on ``LANE_EULER`` at each row's substep counter
     (times ``d``, plus the coordinate); rows on one skeleton therefore share
     every draw, whether they step on the ``dt`` grid or switch to switch.
+    Each grid step's first advance starts every row at the grid time, so
+    the callbacks get that scalar ``t`` there and per-row times after it.
 
     A row is observed (running maxima, ``tau_k``) at the end of each advance,
     so a switching row is observed at its switch time in the old regime,
@@ -477,19 +486,21 @@ def run_event_driven(model: ModelSpec, x0, i0, T: float, dt: float,
         t0 = g * grid
         t1 = min(T, (g + 1) * grid)
         seg.fill(t0)
+        first = True  # every row sits at t0 until the step's first advance
         while True:
             adv = np.minimum(next_jump, t1)
             h = adv - seg
             sel = np.flatnonzero(h > 0)
             if sel.size:
                 act = full if sel.size == n else sel
-                _advance(act, seg[act], h[act])
+                _advance(act, t0 if first else seg[act], h[act])
                 seg[act] = adv[act]
                 rows.observe(act, adv[act])
                 if record:
                     # a row switching at this exact time logs at its switch
                     lg = sel[seg[sel] != next_jump[sel]]
                     rows.log(lg, seg[lg])
+            first = False
             # seg is finite, so seg == next_jump can only fire at finite jumps
             jidx = np.flatnonzero(seg == next_jump)
             if not jidx.size:
@@ -516,6 +527,16 @@ def run_frozen(model: ModelSpec, x0, i0, T: float, dt: float,
     after it. State-dependent rates are read once per regime group.
     A row whose state turns non-finite stops where it died and is reported
     in the ``aborted`` mask.
+
+    Every row needs a clock and a first sub-increment at every step, so
+    these are drawn for all rows in blocks of ``B = BLOCK_BUDGET // (n d)``
+    steps (at least 1, at most the horizon): one ``(B, n)`` array of clocks
+    and one ``(B, n, d)`` array of normals per block, at the addresses
+    above, so a block changes no bit. The layout is step-major, so a step
+    reads one contiguous ``(n, d)`` slab rather than a strided column of a
+    row-major block. The budget bounds a block at a few hundred KB; past it
+    (n d > BLOCK_BUDGET) a block is one step. The mark and the post-switch
+    draws stay per step, drawn only for the rows that switch.
     """
     _check_horizon(T, dt)
     q, d = model.q, model.dim
@@ -526,12 +547,20 @@ def run_frozen(model: ModelSpec, x0, i0, T: float, dt: float,
     n = len(lam)
     live = np.arange(n)
     warned = False
-    for g in range(step_count(T, dt)):
+    G = step_count(T, dt)
+    B = max(1, min(G, BLOCK_BUDGET // max(1, n * d)))
+    for g in range(G):
         t0 = g * dt
         t1 = min(T, t0 + dt)
         h = t1 - t0
         if h <= 0 or not live.size:
             break
+        if g % B == 0:
+            # clocks (B, n) and pre-switch normals (B, n, d) of steps g..g+B-1
+            gs = np.arange(g, min(g + B, G), dtype=np.uint64)[:, None]
+            EB = keyed_exponential(keys, LANE_JUMP, 2 * gs)
+            XB = keyed_normal(keys[:, None], LANE_EULER,
+                              (2 * d * gs)[:, :, None] + comps)
         at = slice(None) if live.size == n else live  # views until a row dies
         lv = lam[at]
         qi = _regime_totals(q, lv, X[at])
@@ -540,12 +569,10 @@ def run_frozen(model: ModelSpec, x0, i0, T: float, dt: float,
                 f"dt * q_i(x) = {qi.max() * h:.3f} > 0.1 at t={t0:.4g}; "
                 "switching is under-resolved, reduce dt", StiffSwitchingWarning)
             warned = True
-        kl = keys[at]
-        E = keyed_exponential(kl, LANE_JUMP, np.uint64(2 * g))
-        s_rel = _holding_times(E, qi)
+        s_rel = _holding_times(EB[g % B][at], qi)
         sw = s_rel < h
-        xi = keyed_normal(kl[:, None], LANE_EULER, np.uint64(2 * d * g) + comps)
-        X[at] = euler_step(model, t0, X[at], lv, np.where(sw, s_rel, h), xi)
+        X[at] = euler_step(model, t0, X[at], lv, np.where(sw, s_rel, h),
+                           XB[g % B][at])
         ok = np.isfinite(X[at]).all(axis=1)
         jumped = ok & sw
         if record:
@@ -609,10 +636,12 @@ def truncated_model(model: ModelSpec, K: int) -> ModelSpec:
 
     def diffusionK(t, x, i):
         x = np.asarray(x, dtype=float)
-        sig = model.diffusion(t, x, clamp(i))
+        sig = np.asarray(model.diffusion(t, x, clamp(i)), dtype=float)
         root = np.sqrt(_radial_cutoff(x, K))
-        if x.ndim == 1:
-            return np.asarray(sig, dtype=float) * root
+        if x.ndim == 1 or sig.ndim == 0:
+            return sig * root  # a scalar base gives one scalar per row
+        if sig.ndim == 1:
+            return _row_scalars(sig, len(x)) * root
         return _sigma_stack(sig, x.shape[0], model.dim) * root[:, None, None]
 
     return replace(model, drift=driftK, diffusion=diffusionK, q=qK,

@@ -8,9 +8,14 @@ verification layer consumes.
 Coefficient callbacks are batched: ``drift(t, x, i)`` takes ``x`` of shape
 ``(d,)`` or ``(m, d)`` (and ``t`` scalar or ``(m,)``) and returns the same
 shape; ``diffusion(t, x, i)`` may return a scalar ``s`` (meaning ``s * I``),
-a ``(d, d)`` matrix, or an ``(m, d, d)`` stack. Callbacks must be pure:
-specs are immutable and shared across concurrently running replicas, and
-each spec keeps its assumption reports, one per sampling plan.
+a ``(d, d)`` matrix, or, for an ``(m, d)`` batch, ``(m,)`` per-row scalars
+(row ``r`` meaning ``s_r * I``) or an ``(m, d, d)`` stack. The per-row
+scalar keeps a position-dependent ``s(x) * I`` at O(m d) in the Euler step
+and the assumption check, which would otherwise build a stack and an SVD; a
+1-d return of any length other than ``m`` is a ValueError, never broadcast.
+Callbacks must be pure: specs are immutable and shared across concurrently
+running replicas, and each spec keeps its assumption reports, one per
+sampling plan.
 
 Assumption checking is falsification by sampling -- grids plus random pairs
 in a ball -- never a proof; the conditions quantify over all of R^d and the
@@ -166,12 +171,16 @@ class ModelSpec:
 def apply_diffusion(sig, dw):
     """Apply a diffusion coefficient to increments.
 
-    ``sig``: scalar (meaning ``s * I``), ``(d, d)`` or ``(m, d, d)``;
-    ``dw``: ``(d,)`` or ``(m, d)``. Returns the shape of ``dw``.
+    ``sig``: scalar (meaning ``s * I``), ``(m,)`` (one such scalar per row),
+    ``(d, d)`` or ``(m, d, d)``; ``dw``: ``(d,)`` or ``(m, d)``. Returns the
+    shape of ``dw``.
     """
     sig = np.asarray(sig, dtype=float)
     if sig.ndim == 0:
         return float(sig) * dw
+    if sig.ndim == 1:
+        m = dw.shape[0] if dw.ndim == 2 else None
+        return _row_scalars(sig, m)[:, None] * dw
     # einsum sums each output entry on its own, so a row's result does not
     # depend on how many rows share the call (a BLAS matmul's may)
     if sig.ndim == 2:
@@ -179,11 +188,24 @@ def apply_diffusion(sig, dw):
     return np.einsum("mij,mj->mi", sig, dw)
 
 
+def _row_scalars(sig: np.ndarray, m) -> np.ndarray:
+    """A 1-d diffusion value as the ``(m,)`` per-row scalars of an ``(m, d)``
+    batch; a ValueError names any other 1-d shape, which must never
+    broadcast (``m`` is None for a single point)."""
+    if m is None or sig.shape != (m,):
+        raise ValueError(f"diffusion returned shape {sig.shape}; a 1-d value "
+                         f"holds one scalar per row of an (m, d) batch, "
+                         f"m = {m}")
+    return sig
+
+
 def _sigma_stack(sig, m: int, d: int) -> np.ndarray:
     """Normalize a diffusion return value to an (m, d, d) stack."""
     sig = np.asarray(sig, dtype=float)
     if sig.ndim == 0:
         return np.broadcast_to(float(sig) * np.eye(d), (m, d, d))
+    if sig.ndim == 1:
+        return _row_scalars(sig, m)[:, None, None] * np.eye(d)
     if sig.ndim == 2:
         return np.broadcast_to(sig, (m, d, d))
     return sig
@@ -191,9 +213,10 @@ def _sigma_stack(sig, m: int, d: int) -> np.ndarray:
 
 def _fro_sq(sig, d: int):
     """``||sigma||_F^2`` of a diffusion value: ``d s^2`` for a scalar ``s``
-    (meaning ``s * I``), one per matrix of a ``(m, d, d)`` stack."""
-    if sig.ndim == 0:
-        return d * float(sig * sig)
+    (meaning ``s * I``) or per row of ``(m,)`` scalars, one per matrix of a
+    ``(m, d, d)`` stack."""
+    if sig.ndim < 2:
+        return d * (sig * sig)
     return np.einsum("mij,mij->m", sig, sig)
 
 
@@ -313,10 +336,10 @@ def check_assumptions(m: ModelSpec, plan: SamplingPlan | None = None) -> Assumpt
     * ``dissipativity_uniform_in_regime`` -- 0 < inf C_i(t) <= sup < inf
     * ``gamma_domination``      -- phi(s) <= gamma s u(s)^2 on a log grid
 
-    A diffusion that returns scalars ``s`` at both ``X`` and ``Y`` is
-    checked as ``s * I`` in O(n d): squared Frobenius norm ``d s^2`` and
-    smallest singular value ``|s|``. Any matrix return puts both sides on
-    ``(n, d, d)`` stacks and a batched SVD.
+    A diffusion that returns a scalar ``s`` or ``(n,)`` per-row scalars at
+    both ``X`` and ``Y`` is checked as ``s * I`` in O(n d): squared
+    Frobenius norm ``d s^2`` and smallest singular value ``|s|``. Any matrix
+    return puts both sides on ``(n, d, d)`` stacks and a batched SVD.
     """
     plan = plan or SamplingPlan()
     if plan in m._reports:
@@ -379,8 +402,10 @@ def check_assumptions(m: ModelSpec, plan: SamplingPlan | None = None) -> Assumpt
             by = np.asarray(m.drift(t, Y, i), dtype=float)
             sx = np.asarray(m.diffusion(t, X, i), dtype=float)
             sy = np.asarray(m.diffusion(t, Y, i), dtype=float)
-            if sx.ndim == sy.ndim == 0:
-                sv_min = abs(float(sx))  # s * I has every singular value |s|
+            if sx.ndim <= 1 and sy.ndim <= 1:
+                sx, sy = (_row_scalars(v, n) if v.ndim else v for v in (sx, sy))
+                # s * I has every singular value |s|
+                sv_min = float(np.min(np.abs(sx)))
             else:
                 sx, sy = _sigma_stack(sx, n, d), _sigma_stack(sy, n, d)
                 sv_min = float(np.min(np.linalg.svd(sx, compute_uv=False)[:, -1]))

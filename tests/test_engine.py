@@ -841,6 +841,77 @@ def test_recorded_batch_rows_match_one_row_runs(scheme):
             assert row.x[-1] == pytest.approx(out["x"][r], abs=0.0)
 
 
+@pytest.mark.filterwarnings("ignore::switchsde.errors.StiffSwitchingWarning",
+                            "ignore:overflow", "ignore:invalid value")
+def test_frozen_noise_blocks_keep_every_row_its_own_run(monkeypatch):
+    # enough rows that run_frozen draws the step noise of only a few steps
+    # per block, over a horizon of several blocks and a shorter last one
+    d, T, dt = 64, 0.1, 0.01
+    n = engine.BLOCK_BUDGET // (3 * d)
+    G = cfg(T=T, dt=dt).n_steps()
+    B = engine.BLOCK_BUDGET // (n * d)
+    assert 2 <= B < G and G % B
+    rng = np.random.default_rng(17)
+    base = _random_state_dependent_model(rng, d)
+
+    def drift(t, x, i):
+        # rows far out take the drift x^21: a row started at 2e3 reaches
+        # about 2e67 after one step, still finite in norm and rates, and
+        # overflows in the next, mid-block
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x[..., :1]) > 1e3, x ** 21, base.drift(t, x, i))
+
+    m = replace(base, drift=drift)
+    x0 = rng.uniform(-1.0, 1.0, (n, d))
+    dies = 5
+    x0[dies, 0] = 2e3
+    i0 = rng.integers(1, 7, n)
+    reps = rng.integers(0, 2 ** 40, n).astype(np.uint64)
+    sizes = []
+    draw = engine.keyed_normal
+
+    def counted(keys, lane, index):
+        out = draw(keys, lane, index)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(engine, "keyed_normal", counted)
+    K, seed = 12.0, 23
+    out = run_frozen(m, x0, i0, T, dt, NoiseStream(seed), reps,
+                     trunc_level=K, track_xmax=True, record=True)
+    assert max(sizes) <= max(engine.BLOCK_BUDGET, n * d)
+    assert list(np.flatnonzero(out["aborted"])) == [dies]
+    assert (out["eta"] < T).sum() > 10  # rows switch inside blocks
+    c = cfg(T=T, dt=dt, seed=seed, K=K)
+    for r in range(n):
+        try:
+            one = s.simulate_path(m, x0[r], int(i0[r]), c, replica=int(reps[r]))
+        except s.NumericalBlowupError as exc:
+            assert r == dies and exc.t == 2 * dt
+            with pytest.raises(s.NumericalBlowupError) as got:
+                engine.recorded_path(out, r)
+            assert (got.value.t, got.value.regime) == (exc.t, exc.regime)
+            assert np.array_equal(got.value.x, exc.x, equal_nan=True)
+            continue
+        row = engine.recorded_path(out, r, seed=seed)
+        assert np.array_equal(row.times, one.times)
+        assert np.array_equal(row.x, one.x)
+        assert np.array_equal(row.regime, one.regime)
+        assert row.jumps == one.jumps
+        assert (row.eta, row.tau_k) == (one.eta, one.tau_k)
+        x, i, eta, tau, xmax, imax = _frozen_reference(
+            m, x0[r], int(i0[r]), T, dt, NoiseStream(seed), int(reps[r]), K)
+        assert np.array_equal(out["x"][r], x) and out["regime"][r] == i
+        assert (out["eta"][r], out["tau_k"][r]) == (eta, tau)
+        assert (out["xnorm_max"][r], out["regime_max"][r]) == (xmax, imax)
+    # past the budget a block is one step, drawn for every row at once
+    sizes.clear()
+    wide = engine.BLOCK_BUDGET + 3
+    run_frozen(s.zoo("switching_ou"), [0.0], 1, 3 * dt, dt, NoiseStream(seed),
+               np.arange(wide, dtype=np.uint64))
+    assert max(sizes) == wide
+
+
 @pytest.mark.filterwarnings("ignore::switchsde.errors.StiffSwitchingWarning")
 def test_frozen_switch_restarts_in_new_regime():
     # regime 1 holds still, regime 2 moves at unit speed and never leaves:

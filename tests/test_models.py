@@ -253,6 +253,75 @@ def test_scalar_check_builds_no_stack_at_high_dimension(monkeypatch):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("d", [1, 3, 16])
+def test_per_row_scalar_diffusion_applies_as_its_stack(d):
+    rng = np.random.default_rng(5)
+    sig, dw = rng.normal(size=7), rng.normal(size=(7, d))
+    stack = _sigma_stack(sig, 7, d)
+    assert np.array_equal(stack, sig[:, None, None] * np.eye(d))
+    assert np.array_equal(s.apply_diffusion(sig, dw),
+                          s.apply_diffusion(stack, dw))
+
+
+def test_per_row_scalar_diffusion_of_another_length_raises():
+    d = 3
+    dw = np.ones((4, d))
+    for bad, rows in ((np.ones(d), 4), (np.ones(5), 4), (np.ones(d), None)):
+        with pytest.raises(ValueError, match=rf"shape \({len(bad)},\)"):
+            s.apply_diffusion(bad, dw if rows else dw[0])
+    # m == d: a (d,) return of a single point would broadcast to (d, d)
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        s.apply_diffusion(np.ones(d), np.ones(d))
+    with pytest.raises(ValueError, match=r"shape \(5,\)"):
+        _sigma_stack(np.ones(5), 4, d)
+    m = s.zoo("switching_ou", dim=d)
+    wrong = replace(m, diffusion=lambda t, x, i: np.ones(d))
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        check_assumptions(wrong, quick_plan())
+
+
+def _truncated_twins(d):
+    """``truncated_model(birth_death_switch(d), 5)``, whose diffusion is a
+    per-row scalar on a batch, and a twin that returns its (m, d, d) stack."""
+    tm = s.truncated_model(s.zoo("birth_death_switch", dim=d), 5)
+
+    def stacked(t, x, i):
+        sig = tm.diffusion(t, x, i)
+        return _sigma_stack(sig, len(x), d) if np.ndim(x) == 2 else sig
+
+    return tm, replace(tm, diffusion=stacked)
+
+
+@pytest.mark.parametrize("d", [1, 3, 16])
+def test_truncated_scalar_diffusion_is_checked_as_the_scalar(d):
+    tm, twin = _truncated_twins(d)
+    assert tm.diffusion(0.0, np.ones((4, d)), 2).shape == (4,)
+    rep, ref = check_assumptions(tm, quick_plan()), check_assumptions(twin, quick_plan())
+    for cond, want in ref.results.items():
+        got = rep[cond]
+        assert (got.passed, got.samples, got.witness) == (
+            want.passed, want.samples, want.witness), cond
+        if d == 1:
+            assert got.max_violation == want.max_violation, cond
+        else:
+            assert got.max_violation == pytest.approx(want.max_violation,
+                                                      rel=1e-12, abs=0), cond
+
+
+def test_truncated_check_builds_no_stack_at_high_dimension(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-row scalar diffusion reached the stack path")
+
+    tm = s.truncated_model(s.zoo("birth_death_switch", dim=256), 5)
+    monkeypatch.setattr(models, "_sigma_stack", refuse)
+    monkeypatch.setattr(s.engine, "_sigma_stack", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    # the plan of the equivalence test above; one stack of it is 0.8 GB
+    t0 = time.perf_counter()
+    check_assumptions(tm, quick_plan())
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_modulus_monotonicity_is_sampled_not_declared(monkeypatch):
     # a class carries no monotonicity flag; an increasing u fails
     # modulus_nonincreasing from its sampled log grid alone
